@@ -6,7 +6,8 @@
 // across a mid-stream per-stream strategy swap on half the streams.
 //
 // BENCH_serve.json: per stream-count aggregate IPS and pooled/per-stream
-// p50/p99 latency, plus the bit-exactness verdict (exit 1 if violated).
+// p50/p99 latency, plus the bit-exactness verdict (exit 1 if violated) and
+// the execution engine, kernel ISA and pool size the providers ran on.
 #include <cstdio>
 #include <cstring>
 #include <cmath>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "cnn/exec_engine.hpp"
 #include "core/strategy.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/fabric.hpp"
@@ -75,12 +77,13 @@ struct ScalePoint {
 
 ScalePoint run_point(int n_streams, int n_devices, int images_per_stream,
                      const cnn::CnnModel& m,
-                     const std::vector<cnn::ConvWeights>& w) {
+                     const std::vector<cnn::ConvWeights>& w,
+                     const cnn::ExecContext& exec) {
   auto fabric = runtime::make_fabric(n_devices, /*use_tcp=*/false);
   runtime::DataPlaneStats stats;
   std::vector<runtime::TenantModel> fleet_models{{&m, &w}};
-  runtime::Supervisor providers =
-      runtime::spawn_providers_multi(fabric, n_devices, fleet_models, stats);
+  runtime::Supervisor providers = runtime::spawn_providers_multi(
+      fabric, n_devices, fleet_models, stats, {}, exec);
 
   const auto base =
       strategy_for(m, {0, m.num_layers()},
@@ -192,6 +195,7 @@ int main(int argc, char** argv) {
   if (images_per_stream == 0) images_per_stream = quick ? 6 : 24;
 
   const auto m = bench_model();
+  const cnn::ExecContext exec = cnn::ExecContext::fast_shared();
   Rng rng(99);
   const auto w = de::runtime::random_weights(m, rng);
 
@@ -201,7 +205,8 @@ int main(int argc, char** argv) {
     std::printf("serving %2d stream(s) x %d images over %d devices... ",
                 n_streams, images_per_stream, n_devices);
     std::fflush(stdout);
-    auto point = run_point(n_streams, n_devices, images_per_stream, m, w);
+    auto point =
+        run_point(n_streams, n_devices, images_per_stream, m, w, exec);
     std::printf("%.1f ips aggregate, p50 %.2f ms, p99 %.2f ms%s\n",
                 point.aggregate_ips, point.pooled_p50_ms, point.pooled_p99_ms,
                 point.bit_exact ? "" : "  [BIT-EXACTNESS VIOLATED]");
@@ -222,6 +227,12 @@ int main(int argc, char** argv) {
                "\"images_per_stream\": %d, \"transport\": \"inproc\", "
                "\"swaps\": \"odd streams swap lanes mid-stream\"},\n",
                m.name().c_str(), n_devices, images_per_stream);
+  std::fprintf(f,
+               "  \"exec\": {\"engine\": \"%s\", \"kernel_isa\": \"%s\", "
+               "\"pool_threads\": %zu, \"hardware_threads\": %u},\n",
+               cnn::to_string(exec.engine),
+               cnn::to_string(cnn::default_kernel_isa()), exec.pool->size(),
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"bit_exact_all_streams\": %s,\n",
                all_exact ? "true" : "false");
   std::fprintf(f, "  \"points\": [\n");

@@ -6,8 +6,11 @@
 // persistent panel, multiply-accumulate in the reference's per-pixel op
 // order. This file owns everything around the kernel: packed-weight
 // caching (locked first-touch, so contexts may be shared across threads),
-// the 2-D (row bands × oc-block ranges) tile decomposition run across the
-// ThreadPool, the fused conv→relu→maxpool epilogue, and volume chaining.
+// the work-sized fan-out (exec_threads: a conv or fused call too small to
+// repay a pool round-trip runs inline, a larger one gets tiles in
+// proportion to its FLOPs, up to 4 per pool worker), the 2-D (row bands ×
+// oc-block ranges) tile decomposition run across the ThreadPool, the fused
+// conv→relu→maxpool epilogue, and volume chaining.
 //
 // Padding taps are *skipped* exactly like the reference skips them (ky and
 // kx clamp to the in-bounds range), never multiplied in as zeros: x + 0.0f
@@ -84,8 +87,15 @@ KernelTarget kernel_target(const ExecContext& ctx) {
   return {isa, detail::conv_band_fn(isa), detail::kernel_isa_lanes(isa)};
 }
 
-int exec_threads(const ExecContext& ctx) {
-  return ctx.pool == nullptr ? 1 : static_cast<int>(ctx.pool->size());
+/// Threads' worth of work in a conv or fused call of `ops` FLOPs
+/// (detail::threads_for_work): 1 runs the whole call inline on the calling
+/// thread, no parallel_for round-trip — without a pool or below two
+/// threads' worth. Above that it only sets the tile count (about 4 per
+/// thread); parallel_for still wakes one pool worker per tile, up to the
+/// whole pool.
+int exec_threads(const ExecContext& ctx, Ops ops) {
+  if (ctx.pool == nullptr) return 1;
+  return detail::threads_for_work(ops, static_cast<int>(ctx.pool->size()));
 }
 
 /// The packed form of `w` at `lanes` wide blocks: from the cache when the
@@ -121,8 +131,8 @@ void run_conv_tiles(const LayerConfig& l, const Tensor& in_crop,
                     int in_row_offset, RowInterval out_rows,
                     const PackedKernel& pk, ConvBandFn fn,
                     const ExecContext& ctx, Tensor& dst, int dst_top) {
-  const auto plan =
-      detail::plan_conv_tiles(out_rows, pk.blocks, exec_threads(ctx));
+  const auto plan = detail::plan_conv_tiles(
+      out_rows, pk.blocks, exec_threads(ctx, l.ops_for_rows(out_rows.size())));
   const auto run_tile = [&](int i) {
     const ConvTile t = plan.tile(i);
     fn(ConvBandCall{&l, in_crop.data.data(), in_row_offset, t.rows.begin,
@@ -219,7 +229,9 @@ void maxpool_band(const LayerConfig& l, const Tensor& in_crop,
 
 /// Splits `rows` output rows into bands for `ctx.pool` (pool layers — no
 /// channel-block dimension to tile). A few bands per worker lets the pool's
-/// dynamic chunking absorb uneven band cost.
+/// dynamic chunking absorb uneven band cost. Not sized by threads_for_work:
+/// a scalar maxpool comparison costs far more wall time than a kernel FLOP,
+/// so even small pool calls repay the fan-out (DESIGN.md §Execution engine).
 int band_count(const ExecContext& ctx, int rows) {
   if (ctx.pool == nullptr || ctx.pool->size() <= 1) return 1;
   return std::min(rows, static_cast<int>(ctx.pool->size()) * 4);
@@ -376,8 +388,10 @@ void conv_pool_forward_rows_into(const LayerConfig& conv,
   require_crop_covers(conv, in_crop, in_row_offset, conv_rows);
   const KernelTarget target = kernel_target(ctx);
   const PackedKernel& pk = packed_for(conv, w, ctx, target.lanes);
+  const Ops ops =
+      conv.ops_for_rows(conv_rows.size()) + pool.ops_for_rows(out_rows.size());
   const auto plan =
-      detail::plan_conv_tiles(out_rows, pk.blocks, exec_threads(ctx));
+      detail::plan_conv_tiles(out_rows, pk.blocks, exec_threads(ctx, ops));
   const auto run_tile = [&](int i) {
     conv_pool_tile(conv, pool, in_crop, in_row_offset, plan.tile(i), dst_top,
                    pk, target.fn, dst);

@@ -14,9 +14,12 @@
 // output pixels / channels, which share no accumulator.
 //
 // Parallelism is a 2-D tiling: output rows × output-channel block ranges
-// partition each call into tiles run across a ThreadPool; tiles write
-// disjoint bytes, so threading cannot change results either. The
-// multiply-accumulate micro-kernel is selected once per process from cpuid
+// partition each call into tiles run across a ThreadPool. A conv or fused
+// call below two detail::kMinOpsPerThread of FLOPs runs inline on the
+// calling thread; a larger one gets about 4 tiles per kMinOpsPerThread, up
+// to 4 per pool worker. Tiles write disjoint bytes, so threading cannot
+// change results either. The multiply-accumulate micro-kernel is selected
+// once per process from cpuid
 // (generic scalar / SSE2 / AVX2 / AVX-512 — see kernel_isa.hpp), every
 // target bit-exact by the same argument: lane width is packing layout, and
 // no target uses FMA contraction. A fused conv→ReLU→maxpool epilogue
@@ -74,7 +77,8 @@ class ExecCache {
 /// pool to spread tiles across, an optional packed-weight cache, which ISA
 /// micro-kernel (kAuto = the process default from cpuid / DE_KERNEL_ISA),
 /// and whether volume execution may fuse conv→relu→pool pairs. A null pool
-/// runs the fast kernel single-threaded; the reference engine never
+/// runs the fast kernel single-threaded, and so does a conv or fused call
+/// too small to repay a pool round-trip; the reference engine never
 /// threads, never packs, never fuses.
 struct ExecContext {
   ExecEngine engine = ExecEngine::kReference;

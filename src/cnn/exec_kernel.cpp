@@ -95,4 +95,9 @@ ConvTilePlan plan_conv_tiles(RowInterval out_rows, int blocks, int threads) {
   return plan;
 }
 
+int threads_for_work(Ops ops, int pool_size) {
+  return static_cast<int>(std::clamp<Ops>(ops / kMinOpsPerThread, 1,
+                                          std::max(pool_size, 1)));
+}
+
 }  // namespace de::cnn::detail

@@ -141,4 +141,18 @@ struct ConvTilePlan {
 /// one tile.
 ConvTilePlan plan_conv_tiles(RowInterval out_rows, int blocks, int threads);
 
+/// FLOPs (LayerConfig::ops_for_rows) of one thread's worth of conv work.
+/// A call under two of these costs less to run inline than the wake-up,
+/// claim and join round-trip of a pool its co-located providers contend
+/// for (DESIGN.md §Execution engine has the measurements behind the value).
+inline constexpr Ops kMinOpsPerThread = 1'000'000;
+
+/// Threads' worth of work in a conv or fused call of `ops` FLOPs on a pool
+/// of `pool_size`: clamp(ops / kMinOpsPerThread, 1, pool_size). 1 runs the
+/// call inline on the calling thread. Never exceeds max(pool_size, 1) and
+/// never decreases as `ops` grows. The engine passes it to plan_conv_tiles,
+/// so above 1 it sets the tile count only: ThreadPool::parallel_for still
+/// wakes one worker per tile, up to the whole pool.
+int threads_for_work(Ops ops, int pool_size);
+
 }  // namespace de::cnn::detail

@@ -88,7 +88,7 @@ Supervisor spawn_providers(
     const std::vector<cnn::ConvWeights>& weights, const TransferPlan& plan,
     int n_images, DataPlaneStats& stats,
     const ReliabilityOptions& reliability = {},
-    const cnn::ExecContext& exec = {},
+    const cnn::ExecContext& exec = cnn::ExecContext::fast_shared(),
     DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
     int telemetry_every = 0, int heartbeat_ms = 0, int max_restarts = 0);
 
@@ -99,7 +99,7 @@ Supervisor spawn_providers(
 Supervisor spawn_providers_multi(
     ClusterFabric& fabric, int n_devices, std::span<const TenantModel> fleet,
     DataPlaneStats& stats, const ReliabilityOptions& reliability = {},
-    const cnn::ExecContext& exec = {},
+    const cnn::ExecContext& exec = cnn::ExecContext::fast_shared(),
     DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
     int telemetry_every = 0, int heartbeat_ms = 0, int max_restarts = 0);
 

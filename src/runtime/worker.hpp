@@ -124,14 +124,17 @@ struct TelemetryHooks {
 ///
 /// `strategy`/`plan` seed epoch 0; kReconfigure frames append later epochs
 /// at image boundaries. A device idle under the current epoch keeps
-/// listening (a later epoch may activate it) instead of returning.
+/// listening (a later epoch may activate it) instead of returning. `exec`
+/// defaults to the fast engine on the shared pool, as RunOptions and
+/// ServeOptions do; pass cnn::ExecContext::reference() for the scalar path.
 void provider_loop(rpc::Transport& transport, int i, const cnn::CnnModel& model,
                    const sim::RawStrategy& strategy,
                    const std::vector<cnn::ConvWeights>& weights,
                    const TransferPlan& plan, int n_images,
                    DataPlaneStats& stats,
                    const ReliabilityOptions& reliability = {},
-                   const cnn::ExecContext& exec = {},
+                   const cnn::ExecContext& exec =
+                       cnn::ExecContext::fast_shared(),
                    DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
                    const TelemetryHooks& telemetry = {});
 
@@ -157,7 +160,8 @@ void provider_loop_multi(rpc::Transport& transport, int i,
                          std::span<const TenantModel> fleet,
                          DataPlaneStats& stats,
                          const ReliabilityOptions& reliability = {},
-                         const cnn::ExecContext& exec = {},
+                         const cnn::ExecContext& exec =
+                             cnn::ExecContext::fast_shared(),
                          DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
                          const TelemetryHooks& telemetry = {});
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -41,12 +42,59 @@ void expect_bitexact(const Tensor& got, const Tensor& want,
   }
 }
 
+/// Threads' worth of work the fast engine plans for a conv or fused call of
+/// `ops` FLOPs on `pool` (detail::threads_for_work); 1 runs it inline.
+int work_threads(Ops ops, const ThreadPool& pool) {
+  return detail::threads_for_work(ops, static_cast<int>(pool.size()));
+}
+
+/// The engine's work measure for one fused conv→pool call over `out_rows`.
+Ops fused_ops(const LayerConfig& conv, const LayerConfig& pool_l,
+              RowInterval out_rows) {
+  return conv.ops_for_rows(input_rows_for(pool_l, out_rows).size()) +
+         pool_l.ops_for_rows(out_rows.size());
+}
+
+/// The fewest rows, from `min_rows` up, over which a band of an `out_h`-row
+/// call is worth as many threads of `pool` as the whole call, where
+/// `ops_of(rows)` is the work of the band checked at that many rows: the
+/// cheapest band that still fans out as far as the call can.
+template <typename OpsOf>
+int fanout_rows(int out_h, int min_rows, const ThreadPool& pool,
+                const OpsOf& ops_of) {
+  const int most = work_threads(ops_of(out_h), pool);
+  int rows = std::min(min_rows, out_h);
+  while (rows < out_h && work_threads(ops_of(rows), pool) < most) ++rows;
+  return rows;
+}
+
+int fanout_rows(const LayerConfig& l, int min_rows, const ThreadPool& pool) {
+  return fanout_rows(l.out_h(), min_rows, pool,
+                     [&](int rows) { return l.ops_for_rows(rows); });
+}
+
+/// Input channels that give a conv of `l`'s geometry (any in_c) about
+/// 3.2 MFLOP over `rows` output rows — three threads' worth, the most a
+/// ThreadPool(3) plans for — clamped to [1, 256].
+int fanout_in_c(const LayerConfig& l, int rows) {
+  const Ops per_in_c = l.ops_for_rows(rows) / l.in_c;
+  const Ops want = 16 * detail::kMinOpsPerThread / 5;
+  return static_cast<int>(
+      std::clamp<Ops>((want + per_in_c - 1) / per_in_c, 1, 256));
+}
+
 /// Runs one conv layer over `out_rows` with the minimal required crop (plus
 /// `slack` extra leading rows) and checks fast == reference — serially and
 /// tiled across `pool`, for every ISA dispatch target this host supports.
+/// A tiled check must really fan out: a call below two threads' worth of
+/// work runs inline and would only repeat the serial check.
 void check_conv_rows(const LayerConfig& l, RowInterval out_rows, Rng& rng,
                      ThreadPool* pool, const std::string& what,
                      int slack = 0) {
+  if (pool != nullptr) {
+    ASSERT_GT(work_threads(l.ops_for_rows(out_rows.size()), *pool), 1)
+        << what << " is too small to fan out";
+  }
   const auto need = input_rows_for(l, out_rows);
   const int offset = std::max(0, need.begin - slack);
   // A band entirely inside the zero padding needs no input rows at all
@@ -73,11 +121,16 @@ void check_conv_rows(const LayerConfig& l, RowInterval out_rows, Rng& rng,
 
 /// Fused conv→pool epilogue over `out_rows` (pool rows) against the unfused
 /// two-layer reference chain — per ISA, serial and tiled, plus the fast
-/// unfused path (ctx.fuse_conv_pool = false) as a third witness.
+/// unfused path (ctx.fuse_conv_pool = false) as a third witness. As in
+/// check_conv_rows, a tiled check must fan out.
 void check_conv_pool_rows(const LayerConfig& conv, const LayerConfig& pool_l,
                           RowInterval out_rows, Rng& rng, ThreadPool* pool,
                           const std::string& what) {
   ASSERT_TRUE(can_fuse_conv_pool(conv, pool_l)) << what;
+  if (pool != nullptr) {
+    ASSERT_GT(work_threads(fused_ops(conv, pool_l, out_rows), *pool), 1)
+        << what << " is too small to fan out";
+  }
   const RowInterval conv_rows = input_rows_for(pool_l, out_rows);
   const auto need = input_rows_for(conv, conv_rows);
   const auto crop =
@@ -120,7 +173,10 @@ void check_conv_pool_rows(const LayerConfig& conv, const LayerConfig& pool_l,
 // Every distinct conv configuration that appears anywhere in the paper's
 // eight-model zoo, exercised on a first-row band, a mid band, and a last-row
 // band (the minimal crop of a band is the interesting case: the fast
-// kernel's ky clamping and crop-offset arithmetic both engage).
+// kernel's ky clamping and crop-offset arithmetic both engage). The mid band
+// is at least 2 rows, grown until it fans out as far as the layer can; the
+// few layers too small to fan out even whole run it inline, as they do in
+// production.
 TEST(ExecEngineZoo, EveryConvConfigBitExact) {
   ThreadPool pool(3);
   Rng rng(2024);
@@ -132,15 +188,20 @@ TEST(ExecEngineZoo, EveryConvConfigBitExact) {
     }
   }
   ASSERT_GT(configs.size(), 20u);  // the zoo is genuinely diverse
+  std::size_t tiled = 0;
   for (const auto& [sig, l] : configs) {
     const int out_h = l.out_h();
     check_conv_rows(l, RowInterval{0, 1}, rng, nullptr, sig + " first-row");
-    const int mid = out_h / 2;
-    check_conv_rows(l, RowInterval{mid, std::min(out_h, mid + 2)}, rng, &pool,
-                    sig + " mid-band");
+    const int rows = fanout_rows(l, 2, pool);
+    const int mid = std::min(out_h / 2, out_h - rows);
+    const bool fans_out = work_threads(l.ops_for_rows(rows), pool) > 1;
+    tiled += fans_out ? 1 : 0;
+    check_conv_rows(l, RowInterval{mid, mid + rows}, rng,
+                    fans_out ? &pool : nullptr, sig + " mid-band");
     check_conv_rows(l, RowInterval{out_h - 1, out_h}, rng, nullptr,
                     sig + " last-row");
   }
+  EXPECT_GT(tiled * 10, configs.size() * 9);  // nearly every layer tiles
 }
 
 // Zoo pooling configs, same treatment (the fast pool path threads too).
@@ -173,10 +234,15 @@ TEST(ExecEngineZoo, EveryPoolConfigBitExact) {
 // the packed-lane width, 1x1 kernels, strides that skip input rows, padding
 // wider than the kernel overhang, and relu on/off. Each case is run over a
 // random row interval, a 1-row band, and with a slack crop (the crop starts
-// above the first required row).
+// above the first required row). The input channel count is drawn last,
+// sized so the random interval carries ~3 MFLOP: three threads' worth on
+// the pool, so the tiled checks cut it into row-band tiles or — when the
+// interval has few rows — oc-block tiles.
 TEST(ExecEngineProperty, RandomizedConfigsBitExact) {
   ThreadPool pool(3);
   Rng rng(0xC0FFEE);
+  int tiled = 0;
+  int oc_tiled = 0;
   for (int iter = 0; iter < 60; ++iter) {
     const int kernel = rng.uniform_int(1, 5);
     const int stride = rng.uniform_int(1, 3);
@@ -184,32 +250,45 @@ TEST(ExecEngineProperty, RandomizedConfigsBitExact) {
     // input_rows_for itself (vsl.cpp clips to a non-empty interval), so every
     // legal 1-row band must keep at least one valid tap.
     const int padding = rng.uniform_int(0, kernel - 1);
-    const int in_c = rng.uniform_int(1, 7);
-    const int out_c = rng.uniform_int(1, 19);
-    const int in_h = rng.uniform_int(kernel + stride, 20);
-    const int in_w = rng.uniform_int(kernel + stride, 20);
+    const int out_c = rng.uniform_int(1, 40);
+    const int in_h = rng.uniform_int(kernel + stride, 32);
+    const int in_w = rng.uniform_int(kernel + stride, 64);
+    const bool relu = iter % 2 == 0;
     LayerConfig l;
     try {
-      l = LayerConfig::conv(in_w, in_h, in_c, out_c, kernel, stride, padding,
-                            /*relu=*/iter % 2 == 0);
+      l = LayerConfig::conv(in_w, in_h, 1, out_c, kernel, stride, padding,
+                            relu);
       l.validate();
     } catch (const Error&) {
       continue;  // geometry with empty output — not a runnable layer
     }
     const int out_h = l.out_h();
+    const int a = rng.uniform_int(0, out_h - 1);
+    const int b = rng.uniform_int(a + 1, out_h);
+    const RowInterval band{a, b};
+    l = LayerConfig::conv(in_w, in_h, fanout_in_c(l, band.size()), out_c,
+                          kernel, stride, padding, relu);
     const std::string what = "iter " + std::to_string(iter) + " k" +
                              std::to_string(kernel) + " s" +
                              std::to_string(stride) + " p" +
-                             std::to_string(padding);
+                             std::to_string(padding) + " in_c" +
+                             std::to_string(l.in_c);
 
-    const int a = rng.uniform_int(0, out_h - 1);
-    const int b = rng.uniform_int(a + 1, out_h);
-    check_conv_rows(l, RowInterval{a, b}, rng, &pool, what + " rand-band");
+    const int threads = work_threads(l.ops_for_rows(band.size()), pool);
+    ThreadPool* tiles = threads > 1 ? &pool : nullptr;
+    tiled += threads > 1 ? 1 : 0;
+    const auto plan = detail::plan_conv_tiles(band, (out_c + 7) / 8, threads);
+    oc_tiled += plan.oc_tiles > 1 ? 1 : 0;
+    check_conv_rows(l, band, rng, tiles, what + " rand-band");
     const int r = rng.uniform_int(0, out_h - 1);
     check_conv_rows(l, RowInterval{r, r + 1}, rng, nullptr, what + " one-row");
-    check_conv_rows(l, RowInterval{a, b}, rng, &pool, what + " slack",
+    check_conv_rows(l, band, rng, tiles, what + " slack",
                     /*slack=*/rng.uniform_int(1, 3));
   }
+  // The sweep really fanned out, in both tile dimensions (oc-block ranges
+  // counted at 8 lanes; AVX-512's 16 splits fewer).
+  EXPECT_GE(tiled, 30);
+  EXPECT_GE(oc_tiled, 10);
 }
 
 // Full-tensor forwards and stitched split-parts through a mixed conv/pool
@@ -263,14 +342,15 @@ TEST(ExecEngineVolume, BandedIntoMatchesWholePart) {
   // The halo-first data plane fills one part tensor band by band through
   // volume_forward_rows_into; any band partition, in any order, must
   // reproduce the whole-part call byte for byte — for both engines, with
-  // and without row-band threading.
+  // and without row-band threading. The model is sized so each band of the
+  // 3-band partition still fans its first layer out across the pool.
   ThreadPool pool(3);
   Rng rng(21);
-  const auto m = ModelBuilder("mini", 24, 24, 3)
-                     .conv_same(6, 3)
-                     .conv_same(6, 5)
+  const auto m = ModelBuilder("mini", 40, 40, 16)
+                     .conv_same(16, 3)
+                     .conv_same(16, 5)
                      .maxpool(2, 2)
-                     .conv_same(12, 3)
+                     .conv_same(24, 3)
                      .build();
   std::vector<ConvWeights> weights;
   for (const auto& l : m.layers()) {
@@ -306,6 +386,11 @@ TEST(ExecEngineVolume, BandedIntoMatchesWholePart) {
       std::rotate(bands.begin(), bands.end() - 1, bands.end());
       for (const auto& band : bands) {
         if (band.empty()) continue;
+        if (ctx.pool != nullptr && n_bands == 3) {
+          const RowInterval first = per_layer_output_rows(layers, band)[0];
+          ASSERT_GT(work_threads(layers[0].ops_for_rows(first.size()), pool), 1)
+              << "band [" << band.begin << "," << band.end << ")";
+        }
         volume_forward_rows_into(layers, crop, need.begin, band, wts, ctx,
                                  dst, part.begin);
       }
@@ -321,8 +406,8 @@ TEST(ExecEngineProperty, PaddingWiderThanKernelBitExact) {
   // padded input) and makes the outermost output columns consist of zero
   // taps only — the fast gather must skip them without ever forming an input
   // address. Rows 0 and out_h-1 are all-padding too and rejected by
-  // input_rows_for itself, so the sweep covers the interior rows.
-  ThreadPool pool(3);
+  // input_rows_for itself, so the sweep covers the interior rows. These
+  // 1-row calls are far too small to fan out, so they run serially.
   Rng rng(88);
   for (const auto& l :
        {LayerConfig::conv(4, 4, 2, 3, /*kernel=*/1, 1, /*padding=*/1),
@@ -338,9 +423,36 @@ TEST(ExecEngineProperty, PaddingWiderThanKernelBitExact) {
         legal_band = false;  // band entirely inside the padding
       }
       if (!legal_band) continue;
-      check_conv_rows(l, band, rng, &pool,
+      check_conv_rows(l, band, rng, nullptr,
                       "wide-pad k" + std::to_string(l.kernel) + " row " +
                           std::to_string(oy));
+    }
+  }
+  // The same zero-tap columns, tiled: wider inputs with input channels drawn
+  // by fanout_in_c, so an 8-row band beside each all-padding edge row fans
+  // out across the pool. 8 rows feed fewer than 4 tiles per thread, so the
+  // plan adds oc-block tiles too.
+  ThreadPool pool(3);
+  for (const auto& probe :
+       {LayerConfig::conv(64, 12, 1, 24, /*kernel=*/2, 1, /*padding=*/2),
+        LayerConfig::conv(63, 17, 1, 20, /*kernel=*/3, 2, /*padding=*/3)}) {
+    const int out_h = probe.out_h();
+    for (const RowInterval band :
+         {RowInterval{1, 9}, RowInterval{out_h - 9, out_h - 1}}) {
+      const auto l = LayerConfig::conv(
+          probe.in_w, probe.in_h, fanout_in_c(probe, band.size()),
+          probe.out_c, probe.kernel, probe.stride, probe.padding);
+      const std::string what = "wide-pad k" + std::to_string(l.kernel) +
+                               " rows [" + std::to_string(band.begin) + "," +
+                               std::to_string(band.end) + ")";
+      const int threads = work_threads(l.ops_for_rows(band.size()), pool);
+      for (const KernelIsa isa : supported_kernel_isas()) {
+        const int lanes = detail::kernel_isa_lanes(isa);
+        const int blocks = (l.out_c + lanes - 1) / lanes;
+        EXPECT_GT(detail::plan_conv_tiles(band, blocks, threads).oc_tiles, 1)
+            << what << " [" << to_string(isa) << "]";
+      }
+      check_conv_rows(l, band, rng, &pool, what);
     }
   }
 }
@@ -385,41 +497,55 @@ TEST(ExecEngineFused, EveryZooConvPoolPairBitExact) {
     }
   }
   ASSERT_GT(pairs.size(), 5u);  // fusion opportunities genuinely exist
+  std::size_t tiled = 0;
   for (const auto& [sig, pair] : pairs) {
-    const int out_h = pair.second.out_h();
-    check_conv_pool_rows(pair.first, pair.second, RowInterval{0, 1}, rng,
-                         nullptr, sig + " first-row");
-    const int mid = out_h / 2;
-    check_conv_pool_rows(pair.first, pair.second,
-                         RowInterval{mid, std::min(out_h, mid + 2)}, rng,
-                         &pool, sig + " mid-band");
-    check_conv_pool_rows(pair.first, pair.second,
-                         RowInterval{out_h - 1, out_h}, rng, nullptr,
-                         sig + " last-row");
+    const LayerConfig& conv = pair.first;
+    const LayerConfig& pl = pair.second;
+    const int out_h = pl.out_h();
+    check_conv_pool_rows(conv, pl, RowInterval{0, 1}, rng, nullptr,
+                         sig + " first-row");
+    // As in EveryConvConfigBitExact: at least 2 rows, grown until the band
+    // fans out as far as the pair can.
+    const auto mid_band = [&](int rows) {
+      const int mid = std::min(out_h / 2, out_h - rows);
+      return RowInterval{mid, mid + rows};
+    };
+    const RowInterval band = mid_band(fanout_rows(
+        out_h, 2, pool,
+        [&](int rows) { return fused_ops(conv, pl, mid_band(rows)); }));
+    const bool fans_out = work_threads(fused_ops(conv, pl, band), pool) > 1;
+    tiled += fans_out ? 1 : 0;
+    check_conv_pool_rows(conv, pl, band, rng, fans_out ? &pool : nullptr,
+                         sig + " mid-band");
+    check_conv_pool_rows(conv, pl, RowInterval{out_h - 1, out_h}, rng,
+                         nullptr, sig + " last-row");
   }
+  EXPECT_GT(tiled * 10, pairs.size() * 9);  // nearly every pair tiles fused
 }
 
 // Randomized fused geometries the zoo never hits: pool kernels 2 and 3,
 // strides 2 and 3 including the overlapping k=3/s=2 window, odd conv output
 // extents (bottom/right pool windows clamp), relu on and off, channel
-// counts off the lane width.
+// counts off the lane width. As in RandomizedConfigsBitExact, the conv's
+// input channels are drawn last, sized so the random band fans out.
 TEST(ExecEngineFused, RandomizedConvPoolBitExact) {
   ThreadPool pool(3);
   Rng rng(0xBEEF);
   int ran = 0;
+  int tiled = 0;
   for (int iter = 0; iter < 40; ++iter) {
     const int kernel = rng.uniform_int(1, 4);
     const int padding = rng.uniform_int(0, kernel - 1);
-    const int in_c = rng.uniform_int(1, 5);
-    const int out_c = rng.uniform_int(1, 19);
-    const int in_h = rng.uniform_int(kernel + 4, 22);
-    const int in_w = rng.uniform_int(kernel + 4, 22);
+    const int out_c = rng.uniform_int(1, 40);
+    const int in_h = rng.uniform_int(kernel + 4, 32);
+    const int in_w = rng.uniform_int(kernel + 4, 48);
     const int pk = rng.uniform_int(2, 3);
     const int ps = rng.uniform_int(2, 3);
+    const bool relu = iter % 2 == 0;
     LayerConfig conv, pl;
     try {
-      conv = LayerConfig::conv(in_w, in_h, in_c, out_c, kernel, /*stride=*/1,
-                               padding, /*relu=*/iter % 2 == 0);
+      conv = LayerConfig::conv(in_w, in_h, 1, out_c, kernel, /*stride=*/1,
+                               padding, relu);
       conv.validate();
       pl = LayerConfig::maxpool(conv.out_w(), conv.out_h(), conv.out_c, pk, ps);
       pl.validate();
@@ -429,25 +555,37 @@ TEST(ExecEngineFused, RandomizedConvPoolBitExact) {
     if (!can_fuse_conv_pool(conv, pl)) continue;
     ++ran;
     const int out_h = pl.out_h();
-    const std::string what = "iter " + std::to_string(iter) + " pk" +
-                             std::to_string(pk) + " ps" + std::to_string(ps);
     const int a = rng.uniform_int(0, out_h - 1);
     const int b = rng.uniform_int(a + 1, out_h);
-    check_conv_pool_rows(conv, pl, RowInterval{a, b}, rng, &pool,
+    const RowInterval band{a, b};
+    conv = LayerConfig::conv(
+        in_w, in_h, fanout_in_c(conv, input_rows_for(pl, band).size()), out_c,
+        kernel, /*stride=*/1, padding, relu);
+    const std::string what = "iter " + std::to_string(iter) + " pk" +
+                             std::to_string(pk) + " ps" + std::to_string(ps) +
+                             " in_c" + std::to_string(conv.in_c);
+    const bool fans_out = work_threads(fused_ops(conv, pl, band), pool) > 1;
+    tiled += fans_out ? 1 : 0;
+    check_conv_pool_rows(conv, pl, band, rng, fans_out ? &pool : nullptr,
                          what + " rand-band");
     check_conv_pool_rows(conv, pl, RowInterval{out_h - 1, out_h}, rng, nullptr,
                          what + " last-row");
   }
   ASSERT_GT(ran, 15);  // the sweep exercised real geometries
+  // and fanned most of them out (1x1 convs with few output channels and
+  // columns cannot reach the work of two threads within 256 channels).
+  EXPECT_GE(tiled, ran * 2 / 3);
 }
 
 // Overlapping pool windows (k=3, s=2): adjacent fused bands recompute the
 // shared conv rows independently; a band partition of the _into destination
-// must still be byte-identical to one whole call.
+// must still be byte-identical to one whole call. Sized so the whole call
+// and every band of the 2- and 3-band partitions fan out across the pool;
+// the 1-row bands run inline.
 TEST(ExecEngineFused, BandedIntoMatchesWholeCall) {
   ThreadPool pool(3);
   Rng rng(55);
-  const auto conv = LayerConfig::conv(21, 21, 3, 10, 3, 1, 1);
+  const auto conv = LayerConfig::conv(49, 49, 8, 24, 3, 1, 1);
   const auto pl =
       LayerConfig::maxpool(conv.out_w(), conv.out_h(), conv.out_c, 3, 2);
   ASSERT_TRUE(can_fuse_conv_pool(conv, pl));
@@ -467,6 +605,10 @@ TEST(ExecEngineFused, BandedIntoMatchesWholeCall) {
         const RowInterval band{out_h * b / n_bands,
                                out_h * (b + 1) / n_bands};
         if (band.empty()) continue;
+        if (n_bands <= 3) {
+          ASSERT_GT(work_threads(fused_ops(conv, pl, band), pool), 1)
+              << "bands=" << n_bands << " band " << b;
+        }
         conv_pool_forward_rows_into(conv, pl, crop, 0, band, w, ctx, dst, 0);
       }
       expect_bitexact(dst, whole,
@@ -508,6 +650,107 @@ TEST(ExecEngineTiles, PlanPartitionsExactly) {
   }
 }
 
+// The fan-out rule: one thread below two threads' worth of work, never more
+// than the pool, never fewer as work grows — and large calls keep exactly
+// the plan they had before the rule existed: every resnet50 conv layer split
+// in half by rows (conv_heavy's 2 providers) still plans the full-pool
+// decomposition of pool_size * 4 or more tiles.
+TEST(ExecEngineTiles, ThreadsForWorkIsSizedToTheCall) {
+  using detail::kMinOpsPerThread;
+  using detail::threads_for_work;
+  for (const int pool_size : {0, 1, 2, 3, 4, 8, 64}) {
+    const int cap = std::max(pool_size, 1);
+    EXPECT_EQ(threads_for_work(0, pool_size), 1);
+    EXPECT_EQ(threads_for_work(kMinOpsPerThread, pool_size), 1);
+    EXPECT_EQ(threads_for_work(2 * kMinOpsPerThread - 1, pool_size), 1);
+    EXPECT_EQ(threads_for_work(2 * kMinOpsPerThread, pool_size),
+              std::min(2, cap));
+    EXPECT_EQ(threads_for_work(std::numeric_limits<Ops>::max(), pool_size),
+              cap);
+    int prev = 1;
+    for (Ops ops = 0; ops <= 80 * kMinOpsPerThread;
+         ops += kMinOpsPerThread / 7) {
+      const int t = threads_for_work(ops, pool_size);
+      ASSERT_GE(t, prev) << "ops " << ops << " pool " << pool_size;
+      ASSERT_LE(t, cap) << "ops " << ops << " pool " << pool_size;
+      prev = t;
+    }
+  }
+
+  const auto resnet = model_by_name("resnet50");
+  const int lanes = detail::kernel_isa_lanes(default_kernel_isa());
+  int convs = 0;
+  int halves = 0;
+  for (const auto& l : resnet.layers()) {
+    if (l.kind != LayerKind::kConv) continue;
+    ++convs;
+    const int h = l.out_h();
+    const int blocks = (l.out_c + lanes - 1) / lanes;
+    for (const RowInterval half : {RowInterval{0, h / 2}, RowInterval{h / 2, h}}) {
+      if (half.empty()) continue;
+      ++halves;
+      for (const int pool_size : {2, 3, 4, 8}) {
+        const int t = threads_for_work(l.ops_for_rows(half.size()), pool_size);
+        ASSERT_EQ(t, pool_size) << device::layer_signature(l);
+        const auto plan = detail::plan_conv_tiles(half, blocks, t);
+        const auto full = detail::plan_conv_tiles(half, blocks, pool_size);
+        EXPECT_EQ(plan.n_bands, full.n_bands);
+        EXPECT_EQ(plan.oc_tiles, full.oc_tiles);
+        EXPECT_GE(plan.count(), pool_size * 4) << device::layer_signature(l);
+      }
+    }
+  }
+  EXPECT_EQ(halves, 2 * convs);  // every layer has at least 2 rows
+}
+
+// The engine runs the rule. A fresh pool's workers have never executed a
+// tile, so the first tile one of them runs grows its thread-local scratch.
+// Calls below two threads' worth of work must leave every worker cold —
+// they ran inline on the (warm) calling thread — while a large call must
+// warm at least one worker.
+TEST(ExecEngineTiles, SmallCallsRunInlineLargeCallsFanOut) {
+  Rng rng(7);
+  const auto small = LayerConfig::conv(24, 24, 3, 12, 3, 1, 1);
+  const auto small_pl =
+      LayerConfig::maxpool(small.out_w(), small.out_h(), small.out_c, 2, 2);
+  const auto large = LayerConfig::conv(48, 48, 8, 24, 3, 1, 1);
+  const RowInterval small_rows{0, small.out_h()};
+  const RowInterval pooled_rows{0, small_pl.out_h()};
+  ASSERT_EQ(detail::threads_for_work(small.ops(), 3), 1);
+  ASSERT_EQ(detail::threads_for_work(fused_ops(small, small_pl, pooled_rows), 3),
+            1);
+  ASSERT_EQ(detail::threads_for_work(large.ops(), 3), 3);
+  const auto in_small = random_tensor(small.in_h, small.in_w, small.in_c, rng);
+  const auto in_large = random_tensor(large.in_h, large.in_w, large.in_c, rng);
+  const auto w_small = ConvWeights::random(small, rng);
+  const auto w_large = ConvWeights::random(large, rng);
+  const auto run_small = [&](ThreadPool* pool) {
+    const ExecContext ctx = ExecContext::fast(pool);
+    (void)conv_forward_rows(small, in_small, 0, small_rows, w_small, ctx);
+    (void)conv_pool_forward_rows(small, small_pl, in_small, 0, pooled_rows,
+                                 w_small, ctx);
+  };
+  const auto run_large = [&](ThreadPool* pool) {
+    (void)conv_forward_rows(large, in_large, 0, RowInterval{0, large.out_h()},
+                            w_large, ExecContext::fast(pool));
+  };
+  run_small(nullptr);  // warm this thread for both geometries
+  run_large(nullptr);
+
+  ThreadPool pool(3);
+  const std::uint64_t before = exec_scratch_allocs();
+  for (int rep = 0; rep < 5; ++rep) run_small(&pool);
+  EXPECT_EQ(exec_scratch_allocs(), before) << "a small call left the caller";
+  // The caller claims tiles too, so one call could in principle finish
+  // before any worker wakes; a few tries make that vanishingly unlikely.
+  bool fanned_out = false;
+  for (int rep = 0; rep < 50 && !fanned_out; ++rep) {
+    run_large(&pool);
+    fanned_out = exec_scratch_allocs() != before;
+  }
+  EXPECT_TRUE(fanned_out) << "a large call never reached a pool worker";
+}
+
 // Steady-state flatness: once every participating thread has executed a
 // geometry, repeated banded and fused calls must never touch the allocator
 // for scratch (the engine-side analogue of the data plane's frame_allocs
@@ -517,9 +760,12 @@ TEST(ExecEngineTiles, PlanPartitionsExactly) {
 TEST(ExecEngineScratch, SteadyStateAllocFlat) {
   ThreadPool pool(3);
   Rng rng(123);
-  const auto conv = LayerConfig::conv(24, 24, 3, 12, 3, 1, 1);
+  const auto conv = LayerConfig::conv(48, 48, 8, 24, 3, 1, 1);
   const auto pl =
       LayerConfig::maxpool(conv.out_w(), conv.out_h(), conv.out_c, 2, 2);
+  // Big enough that both calls below tile across every pool thread.
+  ASSERT_EQ(work_threads(conv.ops(), pool), 3);
+  ASSERT_EQ(work_threads(fused_ops(conv, pl, RowInterval{0, pl.out_h()}), pool), 3);
   const auto crop = random_tensor(conv.in_h, conv.in_w, conv.in_c, rng);
   const auto w = ConvWeights::random(conv, rng);
   ExecCache cache;

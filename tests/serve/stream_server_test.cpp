@@ -116,7 +116,8 @@ struct Harness {
     fleet = {TenantSpec{&ma, &wa, equal_strategy(ma, {0, 5}, n_devices)},
              TenantSpec{&mb, &wb, equal_strategy(mb, {0, 3}, n_devices)}};
     providers = runtime::spawn_providers_multi(
-        fabric, n_devices, fleet_models, stats, options.reliability, {},
+        fabric, n_devices, fleet_models, stats, options.reliability,
+        cnn::ExecContext::fast_shared(),
         runtime::DataPlaneMode::kOverlapZeroCopy, telemetry_every,
         heartbeat_ms, max_restarts);
     server = std::make_unique<StreamServer>(fabric.requester(), n_devices,
