@@ -1,5 +1,6 @@
 #include "serve/stream_server.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -61,14 +62,18 @@ void StreamServer::register_admin() {
       runtime::sample_queue_depths(door_, rtx_, registry_);
       std::int64_t delivered = 0;
       std::int64_t stalls = 0;
+      int inflight = 0;
       for (const auto& [id, s] : streams_) {
         delivered += s.delivered;
         stalls += s.credit_stalls;
+        // Credits taken at dispatch, outputs not yet gathered.
+        inflight += s.window - s.credits - static_cast<int>(s.outputs.size());
       }
       registry_.counter(runtime::kMetricStreamImages).set(delivered);
       registry_.counter("door.credit_stalls").set(stalls);
       registry_.gauge("door.open_streams")
           .set(static_cast<double>(streams_.size()));
+      registry_.gauge("door.inflight").set(static_cast<double>(inflight));
     }
     return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                              obs::to_prometheus(registry_.snapshot())};
@@ -123,6 +128,7 @@ void StreamServer::register_admin() {
       int model_id = 0;
       int window = 0;
       int occupancy = 0;
+      int queued = 0;
       std::int64_t submitted = 0;
       std::int64_t delivered = 0;
       std::int64_t credit_stalls = 0;
@@ -135,8 +141,8 @@ void StreamServer::register_admin() {
       rows.reserve(streams_.size());
       for (const auto& [id, s] : streams_) {
         rows.push_back(Row{id, s.model_id, s.window, s.window - s.credits,
-                           s.submitted, s.delivered, s.credit_stalls,
-                           s.closed, s.slo});
+                           static_cast<int>(s.inputs.size()), s.submitted,
+                           s.delivered, s.credit_stalls, s.closed, s.slo});
       }
     }
     // Percentiles are computed outside mu_ (SloWindow has its own lock; the
@@ -152,6 +158,7 @@ void StreamServer::register_admin() {
       body += ",\"closed\":" + std::string(row.closed ? "true" : "false");
       body += ",\"submitted\":" + std::to_string(row.submitted);
       body += ",\"delivered\":" + std::to_string(row.delivered);
+      body += ",\"queued\":" + std::to_string(row.queued);
       body += ",\"inflight\":" + std::to_string(row.occupancy);
       body += ",\"window\":" + std::to_string(row.window);
       body += ",\"p50_ms\":" + std::to_string(st.p50_ms);
@@ -193,6 +200,7 @@ int StreamServer::open_stream(int model_id, int window) {
   s.window = window == 0 ? options_.default_window : window;
   s.credits = s.window;
   s.slo = std::make_shared<obs::SloWindow>(256, options_.slo_ms);
+  s.cost = tenant(model_id).model->conv_chain_ops();
   streams_.emplace(id, std::move(s));
   return id;
 }
@@ -207,6 +215,13 @@ bool StreamServer::submit(int stream, cnn::Tensor input) {
   auto it = streams_.find(stream);
   if (it == streams_.end()) return false;
   Stream& s = it->second;
+  // A mis-shaped image would fail at dispatch, inside the pump, and take
+  // the door down for every tenant: refuse it before it takes a credit.
+  const cnn::CnnModel& model = *tenant(s.model_id).model;
+  if (input.h != model.input_h() || input.w != model.input_w() ||
+      input.c != model.input_c()) {
+    return false;
+  }
   // The window counts images anywhere between submit and pop. Dispatched-
   // but-unpopped images hold (window - credits), so the queue may only grow
   // while it still fits in the remaining credits.
@@ -276,6 +291,7 @@ StreamSnapshot StreamServer::snapshot(int stream) const {
   snap.epochs_pushed = s.epochs_pushed;
   snap.submitted = s.submitted;
   snap.delivered = s.delivered;
+  snap.queued = static_cast<int>(s.inputs.size());
   snap.latency_ms = s.latency_ms;
   snap.credit_stalls = s.credit_stalls;
   return snap;
@@ -354,6 +370,13 @@ void StreamServer::pump() {
     Clock::time_point t0;
   };
   std::deque<InFlight> inflight;
+  // Depth cap: enough images in flight to keep every provider busy with
+  // the next one queued behind it; the rest of the backlog waits here, in
+  // fair order, instead of in the providers' inboxes.
+  const int cap = 2 * n_devices_;
+  Ops vtime = 0;  ///< fair-queue virtual time (detail::fair_pick)
+  std::vector<detail::FairEntry> fair;
+  std::vector<std::pair<int, Stream*>> fair_streams;
   int next_seq = 0;
   int join_count = 0;
   std::vector<bool> dead(static_cast<std::size_t>(n_devices_), false);
@@ -507,31 +530,51 @@ void StreamServer::pump() {
         }
       }
 
-      // 2. Cross-stream batch: round-robin over streams with both queued
-      //    input and window credits, so no stream monopolises the fleet and
-      //    a credit-starved (slow-consumer) stream is skipped without
-      //    stalling the others. Credits are consumed here, at dispatch.
+      // 2. Fair dispatch under the depth cap: while fewer than `cap`
+      //    images are dispatched but not yet gathered, the next slot goes
+      //    to the stream with the smallest finish tag (detail::fair_pick),
+      //    so a cheap tenant's image is not queued behind a heavy tenant's
+      //    backlog and an idle stream banks no service. A credit-starved
+      //    (slow-consumer) stream is skipped without stalling the others.
+      //    Credits are consumed here, at dispatch.
       std::vector<Job> batch;
       {
         std::lock_guard lk(mu_);
-        // Credit-stall accounting: one tick per pump round a stream sat
-        // with queued input it had no credits to dispatch (slow consumer —
-        // the pump skips it rather than letting it block the others).
+        const auto head = [](const Stream& s) {
+          return s.inputs.empty() ? Clock::time_point{}
+                                  : s.inputs.front().second;
+        };
+        fair.clear();
+        fair_streams.clear();
         for (auto& [id, s] : streams_) {
+          // Credit-stall accounting: one tick per pump round a stream sat
+          // with queued input it had no credits to dispatch (slow consumer
+          // — the pump skips it rather than letting it block the others).
           if (s.credits <= 0 && !s.inputs.empty()) ++s.credit_stalls;
+          fair.push_back(detail::FairEntry{s.cost, s.finish,
+                                           static_cast<int>(s.inputs.size()),
+                                           s.credits, head(s), s.backlogged});
+          fair_streams.emplace_back(id, &s);
         }
-        bool progress = true;
-        while (progress) {
-          progress = false;
-          for (auto& [id, s] : streams_) {
-            if (s.credits <= 0 || s.inputs.empty()) continue;
-            batch.push_back(Job{id, s.model_id,
-                                std::move(s.inputs.front().first),
-                                s.inputs.front().second});
-            s.inputs.pop_front();
-            --s.credits;
-            progress = true;
-          }
+        for (;;) {
+          const int k = detail::fair_pick(
+              fair, vtime, static_cast<int>(inflight.size() + batch.size()),
+              cap);
+          if (k < 0) break;
+          auto& [id, s] = fair_streams[static_cast<std::size_t>(k)];
+          batch.push_back(Job{id, s->model_id,
+                              std::move(s->inputs.front().first),
+                              s->inputs.front().second});
+          s->inputs.pop_front();
+          --s->credits;
+          auto& e = fair[static_cast<std::size_t>(k)];
+          e.queued = static_cast<int>(s->inputs.size());
+          e.credits = s->credits;
+          e.head = head(*s);
+        }
+        for (std::size_t k = 0; k < fair.size(); ++k) {
+          fair_streams[k].second->finish = fair[k].finish;
+          fair_streams[k].second->backlogged = fair[k].backlogged;
         }
       }
       if (!batch.empty()) cv_client_.notify_all();  // queue room freed
@@ -633,5 +676,33 @@ void StreamServer::pump() {
   }
   cv_client_.notify_all();
 }
+
+namespace detail {
+
+int fair_pick(std::span<FairEntry> entries, Ops& vtime, int inflight,
+              int cap) {
+  FairEntry* best = nullptr;
+  for (FairEntry& e : entries) {
+    const bool ready = e.queued > 0 && e.credits > 0;
+    // The restart happens once, on becoming ready. An entry that stays
+    // ready keeps its tag however far vtime moves; re-taking the max at
+    // every pick would float its tag with vtime and starve any stream
+    // costing more than twice one that is always ready.
+    if (ready && !e.backlogged) e.finish = std::max(e.finish, vtime);
+    e.backlogged = ready;
+    if (!ready) continue;
+    if (best == nullptr || e.finish + e.cost < best->finish + best->cost ||
+        (e.finish + e.cost == best->finish + best->cost &&
+         e.head < best->head)) {
+      best = &e;
+    }
+  }
+  if (best == nullptr || inflight >= cap) return -1;
+  vtime = std::max(vtime, best->finish);
+  best->finish += best->cost;
+  return static_cast<int>(best - entries.data());
+}
+
+}  // namespace detail
 
 }  // namespace de::serve

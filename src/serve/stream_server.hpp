@@ -4,7 +4,8 @@
 //
 //   clients ──> per-stream input queues ──> pump ──> dispatch + scatter
 //     ^   (admission, window credits)        │        (global fleet seq,
-//     │                                      v         cross-stream batch)
+//     │                                      v         fair cost order,
+//     │                                                depth cap)
 //   per-stream output queues  <── gather (global-seq order)
 //
 // Each admitted stream gets its own epoch lane (runtime::push_stream_epoch)
@@ -12,10 +13,18 @@
 // `window` images anywhere between submit() and pop(). Credits are consumed
 // at dispatch and returned at pop, so a consumer that stops popping stalls
 // only its own stream — the pump simply skips streams without credits and
-// keeps batching the others onto the fleet (no cross-stream head-of-line
-// blocking). Per-stream strategy swaps (explicit or from an attached
-// per-tenant controller) take effect at the stream's next dispatched image
-// and never touch any other stream's lane.
+// keeps dispatching the others (no cross-stream head-of-line blocking).
+//
+// The queue is held at the pump, not in the providers' inboxes: at most
+// 2 x n_devices images are dispatched but not yet gathered, and each free
+// slot goes to the stream with the smallest finish tag, a fair queue over
+// conv FLOPs (detail::fair_pick). A light tenant's image passes the heavy
+// tenants' backlog instead of waiting behind it in provider inboxes; every
+// provider still sees one global seq order.
+//
+// Per-stream strategy swaps (explicit or from an attached per-tenant
+// controller) take effect at the stream's next dispatched image and never
+// touch any other stream's lane.
 //
 // The door also rides fleet churn (DESIGN.md §membership): kHeartbeat
 // frames on the shared telemetry mailbox feed every attached controller's
@@ -40,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/units.hpp"
 #include "ctrl/controller.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -91,6 +101,7 @@ struct StreamSnapshot {
   int epochs_pushed = 0;  ///< lane epochs announced (1 = never swapped)
   std::int64_t submitted = 0;
   std::int64_t delivered = 0;  ///< outputs handed to pop()
+  int queued = 0;  ///< submitted, not yet dispatched (waiting at the pump)
   std::vector<double> latency_ms;  ///< submit -> gather-complete, per image
   /// Pump rounds that skipped this stream because it held queued input but
   /// no window credits (slow consumer) — the head-of-line-avoidance signal.
@@ -119,7 +130,9 @@ class StreamServer {
 
   /// Queues one input image; blocks while the stream's window is full
   /// (window = images anywhere between submit and pop). False when the
-  /// stream is closed or the server went down.
+  /// stream is closed or the server went down, and — without queueing
+  /// anything or taking a credit — when the image's (h, w, c) is not the
+  /// tenant model's input shape.
   bool submit(int stream, cnn::Tensor input);
 
   /// Pops the stream's next output in submission order, blocking until one
@@ -180,6 +193,12 @@ class StreamServer {
     /// a mutex, and Stream must stay movable for the map emplace).
     std::shared_ptr<obs::SloWindow> slo;
     std::int64_t credit_stalls = 0;  ///< see StreamSnapshot::credit_stalls
+    /// Fair-queue state (detail::FairEntry): the tenant model's conv FLOPs,
+    /// the finish tag of the last dispatch, and whether the stream was
+    /// ready when the pump last looked.
+    Ops cost = 0;
+    Ops finish = 0;
+    bool backlogged = false;
   };
 
   void pump();
@@ -217,5 +236,31 @@ class StreamServer {
 
   std::thread pump_thread_;
 };
+
+namespace detail {
+
+/// One stream as the pump's dispatch pick sees it. An entry is ready when
+/// it has both queued input and a window credit.
+struct FairEntry {
+  Ops cost = 0;     ///< conv_chain_ops of the stream's model
+  Ops finish = 0;   ///< last pick's finish tag, raised by a restart
+  int queued = 0;   ///< inputs waiting at the pump
+  int credits = 0;  ///< window credits left
+  std::chrono::steady_clock::time_point head{};  ///< oldest input's submit
+  /// Ready when fair_pick last looked; fair_pick keeps it up to date.
+  bool backlogged = false;
+};
+
+/// The pump's dispatch order, a fair queue over conv FLOPs. An entry that
+/// becomes ready (was not backlogged) first restarts its finish at
+/// max(finish, vtime): time spent idle or out of credits banks no service,
+/// and a new entry (finish 0) starts at `vtime`. Then, unless `inflight`
+/// (images dispatched, not yet gathered) has reached `cap`, the pick is
+/// the ready entry with the smallest tag finish + cost, ties to the older
+/// head, then the lower index; its finish becomes that tag and `vtime`
+/// advances to its start. Returns the pick's index, or -1 for none.
+int fair_pick(std::span<FairEntry> entries, Ops& vtime, int inflight, int cap);
+
+}  // namespace detail
 
 }  // namespace de::serve

@@ -181,6 +181,14 @@ TEST(OpsPlane, FrontDoorExposesStreamsAndMetrics) {
     ASSERT_GE(id, 0);
     const auto images = random_images(model, 6, rng);
     for (const auto& img : images) ASSERT_TRUE(server.submit(id, img));
+    // Mid-stream, the door never holds more than 2 x n_devices images
+    // dispatched but not yet gathered; the rest wait at the pump.
+    const auto live = obs::http_get(admin.port(), "/metrics");
+    ASSERT_TRUE(live.has_value());
+    const std::string gauge = "\ndoor_inflight ";
+    const auto at = live->body.find(gauge);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_LE(std::stod(live->body.substr(at + gauge.size())), 2 * n_devices);
     for (int k = 0; k < 6; ++k) ASSERT_TRUE(server.pop(id).has_value());
 
     const auto streams = obs::http_get(admin.port(), "/streams");
@@ -191,11 +199,15 @@ TEST(OpsPlane, FrontDoorExposesStreamsAndMetrics) {
     EXPECT_NE(streams->body.find("\"delivered\":6"), std::string::npos);
     EXPECT_NE(streams->body.find("\"slo_violations\":0"), std::string::npos);
     EXPECT_NE(streams->body.find("\"credit_stalls\":"), std::string::npos);
+    // Where the wait went: nothing is left waiting at the pump.
+    EXPECT_NE(streams->body.find("\"queued\":0"), std::string::npos);
 
     const auto metrics = obs::http_get(admin.port(), "/metrics");
     ASSERT_TRUE(metrics.has_value());
     EXPECT_EQ(metrics->status, 200);
     EXPECT_NE(metrics->body.find("door_open_streams"), std::string::npos);
+    // Dispatched-but-ungathered images: none once every output was popped.
+    EXPECT_NE(metrics->body.find("door_inflight 0"), std::string::npos);
     EXPECT_NE(metrics->body.find("stream_images 6"), std::string::npos);
     EXPECT_NE(metrics->body.find("rpc_mailbox_depth{name=\"serve\"}"),
               std::string::npos);

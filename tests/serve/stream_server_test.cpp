@@ -3,11 +3,15 @@
 // bit-for-bit — across tenants with different models, across mid-stream
 // per-stream strategy swaps (which must never reconfigure another tenant),
 // over InProc and loopback TCP fabrics including faulted and shaped wires —
-// and a slow consumer may stall only its own stream, never the fleet.
+// a slow consumer may stall only its own stream, never the fleet, and a
+// mis-shaped input is refused at the door. The pump's dispatch order
+// (detail::fair_pick) is tested on its own, without threads, and its depth
+// cap on the recorded trace of a real door.
 #include "serve/stream_server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -17,6 +21,7 @@
 #include "ctrl/planner.hpp"
 #include "device/device.hpp"
 #include "net/network.hpp"
+#include "obs/trace.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/fabric.hpp"
 
@@ -135,6 +140,14 @@ struct Harness {
   }
 };
 
+/// Closes `h`'s server when it leaves scope. Declared after an attached
+/// controller that is itself declared after `h`, it stops the pump — which
+/// calls into the controller until it stops — before the controller dies.
+struct ClosesServerFirst {
+  Harness& h;
+  ~ClosesServerFirst() { h.server->close(); }
+};
+
 /// Runs one client stream to completion: submit all inputs (from this
 /// thread or a helper), pop all outputs, compare each against the
 /// single-device reference.
@@ -157,36 +170,120 @@ void run_and_check_stream(Harness& h, int stream, int model_id,
   producer.join();
 }
 
-TEST(StreamServer, TwoTenantsConcurrentStreamsBitExact) {
-  Harness h(3, /*use_tcp=*/false);
-  Rng rng(7);
-  constexpr int kStreams = 4;
-  constexpr int kImages = 5;
-  std::vector<int> models = {0, 1, 0, 1};
-  std::vector<int> ids(kStreams);
-  std::vector<std::vector<cnn::Tensor>> inputs(kStreams);
-  for (int s = 0; s < kStreams; ++s) {
-    ids[s] = h.server->open_stream(models[static_cast<std::size_t>(s)]);
+/// Serves `streams` concurrent client streams, alternating the two
+/// tenants, `images` each, every one from its own client thread, and checks
+/// every output bit-exact and every stream's accounting.
+void serve_concurrent_streams(Harness& h, int streams, int images, Rng& rng) {
+  std::vector<int> models(static_cast<std::size_t>(streams));
+  std::vector<int> ids(static_cast<std::size_t>(streams));
+  std::vector<std::vector<cnn::Tensor>> inputs(
+      static_cast<std::size_t>(streams));
+  for (std::size_t s = 0; s < models.size(); ++s) {
+    models[s] = static_cast<int>(s % 2);
+    ids[s] = h.server->open_stream(models[s]);
     ASSERT_GE(ids[s], 0);
-    inputs[static_cast<std::size_t>(s)] =
-        random_inputs(h.model(models[static_cast<std::size_t>(s)]), kImages,
-                      rng);
+    inputs[s] = random_inputs(h.model(models[s]), images, rng);
   }
   std::vector<std::thread> clients;
-  for (int s = 0; s < kStreams; ++s) {
+  for (std::size_t s = 0; s < models.size(); ++s) {
     clients.emplace_back([&h, &ids, &models, &inputs, s] {
-      run_and_check_stream(h, ids[static_cast<std::size_t>(s)],
-                           models[static_cast<std::size_t>(s)],
-                           inputs[static_cast<std::size_t>(s)]);
+      run_and_check_stream(h, ids[s], models[s], inputs[s]);
     });
   }
   for (auto& t : clients) t.join();
-  for (int s = 0; s < kStreams; ++s) {
-    const auto snap = h.server->snapshot(ids[static_cast<std::size_t>(s)]);
-    EXPECT_EQ(snap.submitted, kImages);
-    EXPECT_EQ(snap.delivered, kImages);
-    EXPECT_EQ(static_cast<int>(snap.latency_ms.size()), kImages);
+  for (const int id : ids) {
+    const auto snap = h.server->snapshot(id);
+    EXPECT_EQ(snap.submitted, images);
+    EXPECT_EQ(snap.delivered, images);
+    EXPECT_EQ(snap.queued, 0);
+    EXPECT_EQ(static_cast<int>(snap.latency_ms.size()), images);
   }
+}
+
+TEST(StreamServer, TwoTenantsConcurrentStreamsBitExact) {
+  {
+    SCOPED_TRACE("4 streams on 3 devices (cap 6)");
+    Harness h(3, /*use_tcp=*/false);
+    Rng rng(7);
+    serve_concurrent_streams(h, 4, 5, rng);
+  }
+  {
+    // 8 streams x window 4 on a cap of 4: most images wait at the pump.
+    SCOPED_TRACE("8 streams on 2 devices (cap 4)");
+    Harness h(2, /*use_tcp=*/false);
+    Rng rng(8);
+    serve_concurrent_streams(h, 8, 6, rng);
+  }
+}
+
+TEST(StreamServer, InflightNeverExceedsTheDepthCap) {
+  // The door thread records one kScatter span per dispatched image and one
+  // kGather span per gathered one, in program order. Walking that order,
+  // the images between their scatter start and their gather end may never
+  // exceed 2 x n_devices — an invariant of the recorded order, not a
+  // timing bound.
+  constexpr int kDevices = 2;
+  constexpr int kStreams = 8;
+  constexpr int kImages = 6;
+  obs::TraceRecorder::instance().enable();
+  {
+    Harness h(kDevices, /*use_tcp=*/false);
+    Rng rng(19);
+    serve_concurrent_streams(h, kStreams, kImages, rng);
+  }
+  const auto dump = obs::TraceRecorder::instance().snapshot();
+  obs::TraceRecorder::instance().disable();
+
+  int door_threads = 0;
+  for (const auto& thread : dump.threads) {
+    if (thread.name != "serve-door") continue;
+    ++door_threads;
+    EXPECT_EQ(thread.dropped, 0u);
+    int scattered = 0;
+    int gathered = 0;
+    int peak = 0;
+    for (const auto& ev : thread.events) {
+      if (ev.cat == static_cast<std::uint16_t>(obs::Cat::kScatter)) {
+        ++scattered;
+        peak = std::max(peak, scattered - gathered);
+      } else if (ev.cat == static_cast<std::uint16_t>(obs::Cat::kGather)) {
+        ++gathered;
+      }
+    }
+    EXPECT_EQ(scattered, kStreams * kImages);
+    EXPECT_EQ(gathered, kStreams * kImages);
+    EXPECT_LE(peak, 2 * kDevices);
+  }
+  EXPECT_EQ(door_threads, 1);
+}
+
+TEST(StreamServer, MisShapedInputIsRefusedAndTheDoorStaysUp) {
+  Harness h(3, /*use_tcp=*/false);
+  Rng rng(11);
+  const int sa = h.server->open_stream(0);  // 20x20x3 input
+  const int sb = h.server->open_stream(1);
+  ASSERT_GE(sa, 0);
+  ASSERT_GE(sb, 0);
+  EXPECT_FALSE(h.server->submit(sa, cnn::Tensor(1, 1, 1)));
+  EXPECT_FALSE(h.server->submit(sa, cnn::Tensor(20, 5, 3)));  // wrong width
+  EXPECT_FALSE(h.server->submit(sa, cnn::Tensor(20, 20, 2)));  // channels
+  EXPECT_FALSE(h.server->submit(
+      sa, cnn::Tensor(h.mb.input_h(), h.mb.input_w(), h.mb.input_c())));
+  // Nothing was queued or counted as submitted.
+  const auto refused = h.server->snapshot(sa);
+  EXPECT_EQ(refused.submitted, 0);
+  EXPECT_EQ(refused.queued, 0);
+  EXPECT_FALSE(h.server->down());
+
+  // The refusing stream and the other tenant both keep serving bit-exact.
+  const auto in_a = random_inputs(h.ma, 5, rng);
+  const auto in_b = random_inputs(h.mb, 5, rng);
+  std::thread client_a([&] { run_and_check_stream(h, sa, 0, in_a); });
+  std::thread client_b([&] { run_and_check_stream(h, sb, 1, in_b); });
+  client_a.join();
+  client_b.join();
+  EXPECT_EQ(h.server->snapshot(sa).delivered, 5);
+  EXPECT_FALSE(h.server->down());
 }
 
 TEST(StreamServer, PerStreamSwapNeverTouchesOtherTenants) {
@@ -356,6 +453,7 @@ TEST(StreamServer, PerTenantControllerFedFromSharedTelemetry) {
   config.network = net::Network(2, 100.0);
   ctrl::Controller controller(config);
   controller.start_external(h.fleet[0].strategy);
+  const ClosesServerFirst closes_first{h};
 
   Rng rng(71);
   const int sa = h.server->open_stream(0);
@@ -424,6 +522,7 @@ TEST(StreamServer, StreamsSurviveFleetChurn) {
   config.drift_threshold = 1e9;  // membership decisions only
   ctrl::Controller controller(config);
   controller.start_external(h.fleet[0].strategy);
+  const ClosesServerFirst closes_first{h};
 
   Rng rng(89);
   const int sa = h.server->open_stream(0);
@@ -472,6 +571,134 @@ TEST(StreamServer, StreamsSurviveFleetChurn) {
 
   EXPECT_EQ(h.server->snapshot(sa).delivered, 12);
   EXPECT_EQ(h.server->snapshot(sb).delivered, 12);
+}
+
+// ---------------------------------------------------------------------------
+// The pump's dispatch order without threads: detail::fair_pick.
+
+using Stamp = std::chrono::steady_clock::time_point;
+
+/// A stream with a deep queue and a wide window whose oldest input was
+/// submitted `age_us` after the clock's epoch (smaller = older).
+detail::FairEntry backlog(Ops cost, int age_us = 0) {
+  detail::FairEntry e;
+  e.cost = cost;
+  e.queued = 1000;
+  e.credits = 1000;
+  e.head = Stamp{} + std::chrono::microseconds(age_us);
+  return e;
+}
+
+/// `n` picks with nothing in flight, queues and credits left as they are.
+std::vector<int> picks(std::vector<detail::FairEntry>& entries, Ops& vtime,
+                       int n) {
+  std::vector<int> order;
+  for (int i = 0; i < n; ++i) {
+    order.push_back(detail::fair_pick(entries, vtime, 0, /*cap=*/1));
+  }
+  return order;
+}
+
+int count_of(const std::vector<int>& order, int index) {
+  return static_cast<int>(std::count(order.begin(), order.end(), index));
+}
+
+TEST(FairPick, CheaperModelGoesFirst) {
+  // The heavy stream's head is older, so it would win a tie: cost decides.
+  std::vector<detail::FairEntry> e{backlog(10, 0), backlog(1, 5)};
+  Ops vtime = 0;
+  EXPECT_EQ(detail::fair_pick(e, vtime, 0, 1), 1);
+}
+
+TEST(FairPick, ServiceIsSharedByCostAndNothingStarves) {
+  // Both always ready: ten light picks per heavy one. A heavy stream whose
+  // tag floated with the virtual time would never be picked here.
+  std::vector<detail::FairEntry> e{backlog(10, 0), backlog(1, 5)};
+  Ops vtime = 0;
+  const auto order = picks(e, vtime, 21);
+  EXPECT_EQ(count_of(order, 0), 2);
+  EXPECT_EQ(count_of(order, 1), 19);
+}
+
+TEST(FairPick, EqualCostStreamsAlternate) {
+  std::vector<detail::FairEntry> e{backlog(7), backlog(7)};
+  Ops vtime = 0;
+  const auto order = picks(e, vtime, 10);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<int>(i % 2)) << "pick " << i;
+  }
+}
+
+TEST(FairPick, TiesGoToTheOlderHead) {
+  std::vector<detail::FairEntry> e{backlog(7, /*age_us=*/9),
+                                   backlog(7, /*age_us=*/3)};
+  Ops vtime = 0;
+  EXPECT_EQ(detail::fair_pick(e, vtime, 0, 1), 1);
+  EXPECT_EQ(detail::fair_pick(e, vtime, 0, 1), 0);
+}
+
+TEST(FairPick, StreamsWithoutCreditOrInputAreSkipped) {
+  std::vector<detail::FairEntry> e{backlog(1), backlog(1), backlog(100)};
+  e[0].credits = 0;  // slow consumer: queued input, no credit
+  e[1].queued = 0;   // idle: credits, no input
+  Ops vtime = 0;
+  EXPECT_EQ(detail::fair_pick(e, vtime, 0, 1), 2);
+  e[2].queued = 0;
+  const Ops before = vtime;
+  EXPECT_EQ(detail::fair_pick(e, vtime, 0, 1), -1);
+  EXPECT_EQ(vtime, before);
+}
+
+TEST(FairPick, NewStreamStartsAtTheVirtualTime) {
+  std::vector<detail::FairEntry> e{backlog(7), backlog(7)};
+  Ops vtime = 0;
+  (void)picks(e, vtime, 100);
+  ASSERT_GT(vtime, 0);
+  // A newcomer (finish 0) neither catches up on the 100 picks it missed
+  // nor waits behind them: it takes an equal share from its first pick.
+  e.push_back(backlog(7));
+  const Ops start = vtime;
+  EXPECT_EQ(detail::fair_pick(e, vtime, 0, 1), 2);
+  EXPECT_EQ(e[2].finish, start + 7);
+  auto order = picks(e, vtime, 29);
+  order.push_back(2);
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(count_of(order, k), 10) << k;
+}
+
+TEST(FairPick, TimeAwayBanksNoService) {
+  // Stream 0 sits out `away` picks while stream 1 is served, then both are
+  // ready again. Under plain least-attained-service it would win `away`
+  // picks in a row on return; with finish tags it restarts at the virtual
+  // time, so a long absence wins no more than a short one.
+  const auto run_after = [](int away) {
+    std::vector<detail::FairEntry> e{backlog(7), backlog(7)};
+    e[0].queued = 0;
+    Ops vtime = 0;
+    (void)picks(e, vtime, away);
+    e[0].queued = 1000;
+    const auto order = picks(e, vtime, 10);
+    int streak = 0;
+    while (streak < static_cast<int>(order.size()) && order[streak] == 0) {
+      ++streak;
+    }
+    return streak;
+  };
+  const int after_long = run_after(1000);
+  const int after_short = run_after(1);
+  EXPECT_GE(after_short, 1);
+  EXPECT_LE(after_long, after_short);
+  EXPECT_LE(after_long, 2);
+}
+
+TEST(FairPick, NothingIsPickedAtTheCap) {
+  std::vector<detail::FairEntry> e{backlog(7), backlog(3)};
+  Ops vtime = 0;
+  EXPECT_EQ(detail::fair_pick(e, vtime, /*inflight=*/4, /*cap=*/4), -1);
+  EXPECT_EQ(detail::fair_pick(e, vtime, /*inflight=*/5, /*cap=*/4), -1);
+  EXPECT_EQ(vtime, 0);
+  EXPECT_EQ(e[0].finish, 0);
+  EXPECT_EQ(e[1].finish, 0);
+  EXPECT_EQ(detail::fair_pick(e, vtime, /*inflight=*/3, /*cap=*/4), 1);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The TCP skin of the serving front door: real clients over real sockets —
 // hello/accept dial-back handshake, admission rejections with reasons,
 // multiple concurrent clients bit-exact against the single-device
-// reference, and clean close in both directions.
+// reference, a mis-shaped input dropped without taking the door down, and
+// clean close in both directions.
 #include "serve/tcp_serve.hpp"
 
 #include <gtest/gtest.h>
@@ -153,6 +154,38 @@ TEST(TcpServe, ConcurrentClientsEachBitExact) {
     });
   }
   for (auto& t : clients) t.join();
+}
+
+TEST(TcpServe, MisShapedInputIsDroppedAndTheDoorStaysUp) {
+  TcpHarness h(2);
+  Rng rng(47);
+  TcpStreamClient bad("127.0.0.1", h.door_port(), /*model_id=*/0);
+  ASSERT_TRUE(bad.ok());
+  // The client cannot know the tenant's input shape; the door refuses the
+  // frame at submit and drops it.
+  ASSERT_TRUE(bad.submit(cnn::Tensor(1, 1, 1)));
+  // A well-shaped image behind it on the same connection: once its output
+  // is back, the door has handled the bad frame before it.
+  const auto after = random_inputs(h.m, 1, rng);
+  ASSERT_TRUE(bad.submit(after[0]));
+  auto out = bad.receive();
+  ASSERT_TRUE(out.has_value());
+  expect_equal(*out, runtime::run_reference(h.m, h.w, after[0]),
+               "image after the refused one");
+  EXPECT_EQ(h.server->snapshot(bad.stream()).submitted, 1);
+  EXPECT_FALSE(h.server->down());
+
+  // Another client keeps serving bit-exact.
+  TcpStreamClient good("127.0.0.1", h.door_port(), /*model_id=*/0);
+  ASSERT_TRUE(good.ok());
+  for (const auto& input : random_inputs(h.m, 3, rng)) {
+    ASSERT_TRUE(good.submit(input));
+    auto result = good.receive();
+    ASSERT_TRUE(result.has_value());
+    expect_equal(*result, runtime::run_reference(h.m, h.w, input),
+                 "other client");
+  }
+  EXPECT_FALSE(h.server->down());
 }
 
 }  // namespace
