@@ -1,8 +1,8 @@
-// Tracing-overhead gate: the same streaming workload as
-// bench/runtime_stream (per-layer volumes, staggered cuts, loopback TCP)
-// measured with the observability plane off and on, interleaved in
-// alternating pair order, so the traced-vs-untraced IPS delta is the ops
-// plane's true hot-path cost — the budget DESIGN.md commits to is < 2%.
+// Tracing-overhead gate: a streaming workload like perfbench's halo_stream
+// (per-layer volumes, staggered cuts, loopback TCP) measured with the
+// observability plane off and on, interleaved in alternating pair order, so
+// the traced-vs-untraced IPS delta is the ops plane's true hot-path cost —
+// the budget DESIGN.md commits to is < 2%.
 // The "on" laps carry the full PR-10 ops plane: flight-recorder tracing,
 // an AdminServer with the serve routes registered, per-delivery queue-depth
 // sampling, and a 1 Hz background scraper hitting /metrics + /membership —
@@ -45,9 +45,9 @@ namespace {
 
 using namespace de;
 
-/// Same staggered per-layer-volume strategy as bench/runtime_stream: every
-/// volume boundary redistributes rows, so the halo path (the most heavily
-/// instrumented one) is genuinely hot.
+/// Staggered per-layer-volume strategy (as in perfbench's halo_stream):
+/// every volume boundary redistributes rows, so the halo path (the most
+/// heavily instrumented one) is genuinely hot.
 sim::RawStrategy staggered_strategy(const cnn::CnnModel& m, int n_devices) {
   sim::RawStrategy strategy;
   std::vector<int> boundaries;

@@ -29,8 +29,8 @@ CnnModel voxelnet();       ///< 400x352 BEV pseudo-image + RPN chain
 /// SqueezeNet-style pointwise-dominated chain). Unlike the paper-era
 /// heavyweights above, its FLOPs are small next to its activation
 /// footprint — the regime where the cluster's data plane, not the conv
-/// kernels, bounds end-to-end IPS. bench/runtime_stream and the CI
-/// streaming smoke run on it.
+/// kernels, bounds end-to-end IPS. perfbench's halo_stream and
+/// multi_tenant workloads run on it.
 CnnModel edgenet();
 
 /// Lookup by canonical name ("vgg16", "resnet50", ...). Throws on unknown.

@@ -14,7 +14,7 @@
 // The controller never touches the data plane itself: it drains its own
 // mailbox, plans on its own thread, and publishes at most one pending
 // decision that the serving loop picks up between images and turns into a
-// kReconfigure epoch (runtime::push_epoch).
+// kReconfigure epoch (runtime::push_stream_epoch).
 #pragma once
 
 #include <atomic>

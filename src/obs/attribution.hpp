@@ -18,10 +18,10 @@
 // window, not total device-time), then assemble (halo/input wait) time
 // not hidden by compute, then the tail from the last provider event to
 // gather end as gather_wait. What no span covers is reported as
-// `unattributed_us`, never
-// silently folded into a component — with a serial data plane and
+// `unattributed_us`, never silently folded into a component — at
 // in-flight window 1 the residue is small (the acceptance test bounds it
-// at 5% of e2e); with deep pipelining queuing gaps legitimately dominate
+// at 5% of e2e; a provider's wait for an image's dispatch is recorded as
+// assemble time); with deep pipelining queuing gaps legitimately dominate
 // and the residue says so.
 //
 // Works on a MergedTrace so cross-node timestamps are already on one

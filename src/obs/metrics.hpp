@@ -11,10 +11,10 @@
 // bounded relative error <= 2x) and O(64) memory per histogram forever.
 //
 // The registry is the single naming authority for the runtime's stats: the
-// serial and overlap data planes, and the finite-run and streaming paths,
-// all fold into the same canonical metric names (runtime/serve.cpp and
-// runtime/cluster.cpp share fold_data_plane_metrics), so dashboards and
-// tests never chase per-path field drift again.
+// finite-run and streaming paths and the multi-stream front door all fold
+// into the same canonical metric names (runtime/serve.cpp and
+// serve/stream_server.cpp share fold_data_plane_metrics), so dashboards
+// and tests never chase per-path field drift again.
 #pragma once
 
 #include <array>

@@ -29,7 +29,6 @@ const char* cat_name(Cat cat) {
     case Cat::kParkChunk: return "park_chunk";
     case Cat::kEpochRegister: return "epoch_register";
     case Cat::kEpochPush: return "epoch_push";
-    case Cat::kImageRestart: return "image_restart";
     case Cat::kReplan: return "replan";
     case Cat::kSwapDecision: return "swap_decision";
     case Cat::kDriftSample: return "drift_sample";

@@ -41,9 +41,11 @@ namespace de::obs {
 enum class Cat : std::uint16_t {
   kScatter = 0,      ///< requester: encode+post one image's volume-0 inputs
   kGather,           ///< requester: wait+blit one image's output rows
-  kAssemble,         ///< provider: wait for + blit one volume's input crop
-  kCompute,          ///< provider: one volume's whole-part compute (serial)
-  kComputeBand,      ///< provider: one halo-first band (overlap)
+  kAssemble,         ///< provider: wait for + blit one volume's input
+                     ///< crop, or wait for an image's dispatch
+  kCompute,          ///< one volume's whole-part compute (the data plane
+                     ///< itself records kComputeBand)
+  kComputeBand,      ///< provider: one halo-first band
   kHaloPost,         ///< provider: encode one halo/gather band into a frame
   kSenderWrite,      ///< ChunkSender thread: one blocking transport write
   kTxSyscall,        ///< TCP transport: one sendmsg (header+payload)
@@ -55,7 +57,6 @@ enum class Cat : std::uint16_t {
   kParkChunk,        ///< provider: chunk of an unannounced epoch parked
   kEpochRegister,    ///< provider: reconfigure announcement registered
   kEpochPush,        ///< requester: new epoch announced to the providers
-  kImageRestart,     ///< provider: image re-mapped mid-wait, restarting
   kReplan,           ///< controller: drift exceeded, planner invoked
   kSwapDecision,     ///< controller: new strategy published for cutover
   kDriftSample,      ///< controller: telemetry tick (arg = drift * 1e3)

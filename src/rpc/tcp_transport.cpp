@@ -73,9 +73,8 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 
 }  // namespace
 
-TcpTransport::TcpTransport(NodeId local, std::uint16_t port, bool legacy_io,
-                           int backlog)
-    : node_(local), legacy_io_(legacy_io) {
+TcpTransport::TcpTransport(NodeId local, std::uint16_t port, int backlog)
+    : node_(local) {
   DE_REQUIRE(backlog > 0, "listen backlog must be positive");
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   DE_REQUIRE(listen_fd_ >= 0, "socket() failed");
@@ -189,13 +188,7 @@ void TcpTransport::send(const Address& to, Frame frame) {
   {
     obs::SpanScope span(obs::Cat::kTxSyscall, -1, -1, -1,
                         static_cast<std::int64_t>(frame.size()));
-    if (legacy_io_) {
-      // Pre-change framing: header and payload as separate writes.
-      ok = write_all_vec(fd, iov, 1) &&
-           (frame.empty() || write_all_vec(fd, iov + 1, 1));
-    } else {
-      ok = write_all_vec(fd, iov, frame.empty() ? 1 : 2);
-    }
+    ok = write_all_vec(fd, iov, frame.empty() ? 1 : 2);
   }
   if (!ok) {
     ::close(peer->fd);
@@ -297,11 +290,9 @@ void TcpTransport::rx_loop(int fd) {
     const std::uint32_t mailbox = get_u32(header + 4);
     if (length > kMaxFrameBytes) break;  // malformed stream: drop the peer
     // Receive into a recycled buffer: once the runtime drops the delivered
-    // frame, the buffer comes back here instead of the heap. (Legacy I/O
-    // mode allocates a fresh zero-initialized buffer per frame, as the
-    // pre-change transport did.)
+    // frame, the buffer comes back here instead of the heap.
     const auto allocated_before = rx_arena_.stats().allocated;
-    Frame frame = legacy_io_ ? Frame(Payload(length)) : rx_arena_.acquire();
+    Frame frame = rx_arena_.acquire();
     if (rx_arena_.stats().allocated != allocated_before) {
       obs::trace_instant(obs::Cat::kFrameAlloc, -1, -1, -1,
                          static_cast<std::int64_t>(length));

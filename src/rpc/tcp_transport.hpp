@@ -53,14 +53,10 @@ class TcpTransport final : public Transport {
  public:
   /// Binds a listening socket on 127.0.0.1:`port` (0 = ephemeral) and starts
   /// the accept loop. Throws de::Error if the socket cannot be bound.
-  /// `legacy_io` reverts to the pre-zero-copy per-frame I/O (two write
-  /// syscalls per send, a fresh zero-initialized receive buffer per frame
-  /// instead of the arena) — kept so the serial-copy baseline measured by
-  /// bench/runtime_stream is the true pre-change data plane end to end.
   /// `backlog` is the listen(2) queue depth (front doors facing many
   /// clients may want it even higher than the default).
   explicit TcpTransport(NodeId local, std::uint16_t port = 0,
-                        bool legacy_io = false, int backlog = kDefaultBacklog);
+                        int backlog = kDefaultBacklog);
   ~TcpTransport() override;
 
   TcpTransport(const TcpTransport&) = delete;
@@ -107,7 +103,6 @@ class TcpTransport final : public Transport {
 
   NodeId node_;
   std::uint16_t port_ = 0;
-  bool legacy_io_ = false;
   FrameArena rx_arena_;  ///< recycled receive buffers, shared by rx threads
   int listen_fd_ = -1;
   std::thread accept_thread_;

@@ -1,89 +1,43 @@
 #include "runtime/cluster.hpp"
 
-#include <map>
-#include <memory>
+#include <span>
+#include <utility>
 
-#include "common/require.hpp"
-#include "runtime/fabric.hpp"
-#include "runtime/runtime_metrics.hpp"
+#include "runtime/serve.hpp"
 
 namespace de::runtime {
 
 namespace {
 
-/// Single-image run over either transport backend.
+/// Single-image run over either transport backend: a stream of one image
+/// with one in flight.
 ClusterResult run_once(const cnn::CnnModel& model,
                        const sim::RawStrategy& strategy,
                        const std::vector<cnn::ConvWeights>& weights,
                        const cnn::Tensor& input, int n_devices, bool use_tcp,
                        const RunOptions& options) {
-  validate_cluster_inputs(model, weights, input);
-  DE_REQUIRE(options.faults == nullptr || options.reliability.enabled,
-             "fault injection without the reliability protocol would hang "
-             "the chunk accounting — enable RunOptions::reliability");
-  const auto plan = build_transfer_plan(model, strategy, n_devices);
-
-  auto fabric = make_fabric(n_devices, use_tcp, options.faults,
-                            options.data_plane);
-  DataPlaneStats stats;
-  Supervisor supervisor = spawn_providers(fabric, model, strategy, weights,
-                                          plan, /*n_images=*/1, stats,
-                                          options.reliability, options.exec,
-                                          options.data_plane);
-
-  RequesterContext ctx(fabric.requester(), plan, stats, options.reliability,
-                       options.data_plane);
-  std::unique_ptr<Retransmitter> rtx;
-  if (options.reliability.enabled) {
-    rtx = std::make_unique<Retransmitter>(fabric.requester(),
-                                          options.reliability, stats);
-    ctx.rtx = rtx.get();
-  }
-
-  scatter_image(ctx, /*seq=*/0, input);
-
-  cnn::Tensor output;
-  if (gather_image(ctx, /*seq=*/0, model, output) != GatherStatus::kOk) {
-    // A provider failed (its barrier shut the fabric down), a peer sent
-    // plan-mismatched chunks, or the gather starved past its timeout
-    // budget. Tear the fabric down and join before throwing — never unwind
-    // past live threads.
-    if (rtx) rtx->stop();
-    fabric.shutdown_all();
-    supervisor.join_all();
-    throw Error("cluster transport shut down mid-gather");
-  }
-
-  if (options.reliability.enabled) {
-    // Release the providers from their outbox drain: the gather is
-    // complete, nothing they still hold matters. Best-effort — a lost
-    // release frame just costs them their bounded attempt budget.
-    for (int i = 0; i < n_devices; ++i) {
-      fabric.requester().send(data_addr(i), rpc::encode_shutdown());
-    }
-  }
-  supervisor.join_all();
-  if (rtx) rtx->stop();
-  fabric.shutdown_all();
-
-  stats.frame_allocs.fetch_add(ctx.arena.stats().allocated,
-                               std::memory_order_relaxed);
+  ServeOptions serve;
+  serve.inflight = 1;
+  serve.use_tcp = use_tcp;
+  serve.keep_outputs = true;
+  serve.reliability = options.reliability;
+  serve.faults = options.faults;
+  serve.exec = options.exec;
+  ServeResult served = serve_stream(model, strategy, weights,
+                                    std::span<const cnn::Tensor>(&input, 1),
+                                    n_devices, serve);
 
   ClusterResult result;
-  result.output = std::move(output);
-  // One registry per run, snapshotted once: the canonical names are the
-  // result's source of truth, the scalars below are compatibility views.
-  obs::MetricsRegistry registry;
-  fold_data_plane_metrics(stats, registry);
-  result.metrics = registry.snapshot();
-  result.messages_exchanged = result.metrics.counter(kMetricMessages);
-  result.bytes_moved = result.metrics.counter(kMetricPayloadBytes);
-  result.wire_bytes = result.metrics.counter(kMetricWireBytes);
-  result.bytes_copied = result.metrics.counter(kMetricBytesCopied);
-  result.frame_allocs = result.metrics.counter(kMetricFrameAllocs);
-  result.retransmits = result.metrics.counter(kMetricRetransmits);
-  result.duplicates_dropped = result.metrics.counter(kMetricDupsDropped);
-  result.recv_timeouts = result.metrics.counter(kMetricRecvTimeouts);
+  result.output = std::move(served.outputs.front());
+  result.metrics = std::move(served.metrics);
+  result.messages_exchanged = served.messages_exchanged;
+  result.bytes_moved = served.bytes_moved;
+  result.wire_bytes = served.wire_bytes;
+  result.bytes_copied = served.bytes_copied;
+  result.frame_allocs = served.frame_allocs;
+  result.retransmits = served.retransmits;
+  result.duplicates_dropped = served.duplicates_dropped;
+  result.recv_timeouts = served.recv_timeouts;
   return result;
 }
 

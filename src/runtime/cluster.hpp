@@ -6,12 +6,13 @@
 // redistribution -> gather) with genuine concurrency, and its gathered
 // output must equal the single-device reference forward bit-for-bit — the
 // system-level proof of the Vertical-Splitting Law and of the transfer
-// planning logic. The same worker loops run over shared memory
+// planning logic. A finite run is a serve_stream of one image with one in
+// flight, so it exercises the same provider loop over shared memory
 // (run_distributed) or a loopback TCP cluster (run_distributed_tcp); both
 // push every chunk through the binary wire format. With RunOptions::faults
-// the fabric is degraded by a FaultInjectingTransport and the wire-v2
-// reliability protocol must still reproduce the reference bit-for-bit —
-// the adversarial-scheduling proof. Timing remains the simulator's job
+// the fabric is degraded by a FaultInjectingTransport and the reliability
+// protocol must still reproduce the reference bit-for-bit — the
+// adversarial-scheduling proof. Timing remains the simulator's job
 // (DESIGN.md).
 #pragma once
 
@@ -29,7 +30,7 @@ namespace de::runtime {
 
 /// Knobs of one cluster run. Fault injection requires the reliability
 /// protocol: lost frames with no retransmission would hang the plan's
-/// chunk accounting (the pre-v2 behaviour this layer exists to fix).
+/// chunk accounting (the failure this layer exists to fix).
 struct RunOptions {
   ReliabilityOptions reliability;
   const rpc::FaultSpec* faults = nullptr;  ///< not owned; may be null
@@ -38,18 +39,13 @@ struct RunOptions {
   /// gathered output is engine-independent; it defaults on so every worker
   /// uses the packed kernels + shared-pool row bands.
   cnn::ExecContext exec = cnn::ExecContext::fast_shared();
-  /// Chunk path: halo-first zero-copy (default) or the PR-3 serial copying
-  /// baseline. Both are bit-exact; the baseline exists for in-run A/B
-  /// benches and the conformance tests.
-  DataPlaneMode data_plane = DataPlaneMode::kOverlapZeroCopy;
 };
 
 struct ClusterResult {
   cnn::Tensor output;        ///< stitched output of the last volume
-  /// Canonical per-run metrics (runtime/runtime_metrics.hpp names). The
-  /// scalar fields below are views into this snapshot, kept for existing
-  /// callers; the snapshot is the source of truth and uses the same names
-  /// as ServeResult::metrics.
+  /// Canonical per-run metrics (runtime/runtime_metrics.hpp names): the
+  /// one-image stream's ServeResult::metrics. The scalar fields below are
+  /// views into this snapshot, kept for existing callers.
   obs::MetricsSnapshot metrics;
   std::int64_t messages_exchanged = 0;
   Bytes bytes_moved = 0;     ///< payload bytes across all chunk messages

@@ -1,5 +1,6 @@
 #include "runtime/epoch.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/require.hpp"
@@ -22,15 +23,6 @@ const EpochPlan& EpochTable::at(int seq) const {
   return *epochs_.front();  // unreachable
 }
 
-const EpochPlan* EpochTable::after(int seq) const {
-  const EpochPlan* next = nullptr;
-  for (auto it = epochs_.rbegin(); it != epochs_.rend(); ++it) {
-    if ((*it)->from_seq <= seq) break;
-    next = it->get();
-  }
-  return next;
-}
-
 bool EpochTable::knows(int epoch) const {
   for (const auto& e : epochs_) {
     if (e->epoch == epoch) return true;
@@ -39,7 +31,7 @@ bool EpochTable::knows(int epoch) const {
 }
 
 void EpochTable::add(EpochPlan next) {
-  if (next.epoch < oldest()) return;  // retired: a stale retransmission
+  if (next.epoch < horizon_) return;  // retired: a stale retransmission
   for (const auto& e : epochs_) {
     if (e->epoch != next.epoch) continue;
     // A retransmitted announcement repeats its content exactly; the same
@@ -65,6 +57,11 @@ void EpochTable::add(EpochPlan next) {
 void EpochTable::retire(int watermark) {
   while (epochs_.size() >= 2 && epochs_[1]->from_seq <= watermark) {
     epochs_.pop_front();
+  }
+  // Every image an older id could serve lies below the oldest epoch's
+  // from_seq, so once the watermark reaches it those ids are history.
+  if (epochs_.front()->from_seq <= watermark) {
+    horizon_ = std::max(horizon_, oldest());
   }
 }
 

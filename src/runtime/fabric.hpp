@@ -1,10 +1,11 @@
-// Cluster fabric wiring shared by run_distributed{,_tcp} and serve_stream:
-// one transport endpoint per node (providers 0..n-1, requester at index n),
-// data + control mailboxes opened, TCP nodes fully meshed over loopback —
-// plus the provider-thread spawner with its exception barrier. When a
-// FaultSpec is given, every endpoint is wrapped in a FaultInjectingTransport
-// so all inter-node traffic crosses the degraded "wire". Protocol logic
-// lives in worker.cpp; this file only builds and tears down the plumbing.
+// Cluster fabric wiring shared by serve_stream and serve::StreamServer
+// fleets: one transport endpoint per node (providers 0..n-1, requester at
+// index n), data + control mailboxes opened, TCP nodes fully meshed over
+// loopback — plus the provider-thread spawner with its exception barrier.
+// When a FaultSpec is given, every endpoint is wrapped in a
+// FaultInjectingTransport so all inter-node traffic crosses the degraded
+// "wire". Protocol logic lives in worker.cpp; this file only builds and
+// tears down the plumbing.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,13 @@
 #include "runtime/worker.hpp"
 
 namespace de::runtime {
+
+/// The data plane a fabric carries. There is only one (worker.hpp); the
+/// enumerator survives so make_fabric callers that still name it, such as
+/// perfbench, build unchanged. It selects nothing.
+enum class DataPlaneMode {
+  kOverlapZeroCopy,  ///< halo-first bands + zero-copy frames
+};
 
 /// Owns the per-node transports of one cluster run.
 struct ClusterFabric {
@@ -63,44 +71,30 @@ struct ClusterFabric {
 /// decisions still differ per link — the hash keys on src/dst node ids).
 /// With `shaping` set every endpoint is additionally wrapped (outermost) in
 /// a ShapedTransport, all sharing one trace-time origin so the regime
-/// switches of every link line up. In kSerialCopy mode TCP endpoints run
-/// their legacy per-frame I/O, so the A/B baseline is the pre-change plane
-/// down to the syscalls.
+/// switches of every link line up.
 ClusterFabric make_fabric(int n_devices, bool use_tcp,
                           const rpc::FaultSpec* faults = nullptr,
                           DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
                           const rpc::ShapingSpec* shaping = nullptr);
 
-/// One provider thread per device, run under a Supervisor. An exception
-/// escaping a provider would std::terminate the process; with the default
-/// max_restarts = 0 the supervisor escalates immediately by shutting the
-/// whole fabric down so blocked counterparties fail in an orderly way (the
-/// classic barrier). Chaos/membership runs pass max_restarts > 0 so a
-/// provider that starved out while its node was "dead" is restarted with a
-/// fresh loop instead. With `telemetry_every` > 0 each provider publishes a
-/// kTelemetry frame to the requester's telemetry mailbox every that many
-/// images (link rates come from the node's shaper when the fabric is
-/// shaped); with `hooks_extra.heartbeat_ms` > 0 it additionally publishes
-/// periodic kHeartbeat lease renewals there.
-Supervisor spawn_providers(
-    ClusterFabric& fabric, const cnn::CnnModel& model,
-    const sim::RawStrategy& strategy,
-    const std::vector<cnn::ConvWeights>& weights, const TransferPlan& plan,
-    int n_images, DataPlaneStats& stats,
-    const ReliabilityOptions& reliability = {},
-    const cnn::ExecContext& exec = cnn::ExecContext::fast_shared(),
-    DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
-    int telemetry_every = 0, int heartbeat_ms = 0, int max_restarts = 0);
-
-/// Multi-tenant variant: each provider runs provider_loop_multi over the
-/// shared tenant registry `fleet` (no seed strategy — epoch lanes arrive by
-/// stream-tagged kReconfigure; `fleet` must outlive the threads). Always
-/// streaming: the front door releases the providers with kShutdown.
+/// One provider thread per device, each running provider_loop_multi over
+/// the shared tenant registry `fleet` (no seed strategy — epoch lanes
+/// arrive by stream-tagged kReconfigure; `fleet` must outlive the threads),
+/// under a Supervisor. The requester releases the providers with kShutdown.
+/// An exception escaping a provider would std::terminate the process; with
+/// the default max_restarts = 0 the supervisor escalates immediately by
+/// shutting the whole fabric down so blocked counterparties fail in an
+/// orderly way (the classic barrier). Chaos/membership runs pass
+/// max_restarts > 0 so a provider that starved out while its node was
+/// "dead" is restarted with a fresh loop instead. With `telemetry_every` >
+/// 0 each provider publishes a kTelemetry frame to the requester's
+/// telemetry mailbox every that many images (link rates come from the
+/// node's shaper when the fabric is shaped); with `heartbeat_ms` > 0 it
+/// additionally publishes periodic kHeartbeat lease renewals there.
 Supervisor spawn_providers_multi(
     ClusterFabric& fabric, int n_devices, std::span<const TenantModel> fleet,
     DataPlaneStats& stats, const ReliabilityOptions& reliability = {},
     const cnn::ExecContext& exec = cnn::ExecContext::fast_shared(),
-    DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
     int telemetry_every = 0, int heartbeat_ms = 0, int max_restarts = 0);
 
 }  // namespace de::runtime

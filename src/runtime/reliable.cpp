@@ -96,11 +96,6 @@ void Retransmitter::track(const rpc::Address& to, std::uint32_t chunk_id,
                         std::chrono::steady_clock::now()});
 }
 
-bool Retransmitter::idle() const {
-  std::lock_guard lk(mu_);
-  return outbox_.empty();
-}
-
 std::map<rpc::NodeId, std::size_t> Retransmitter::outbox_depth_by_peer()
     const {
   std::map<rpc::NodeId, std::size_t> out;

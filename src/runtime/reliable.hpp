@@ -31,8 +31,8 @@
 namespace de::runtime {
 
 /// Tuning of the reliability protocol. Disabled by default: with `enabled`
-/// false the data plane behaves exactly like v1 (no chunk ids, no acks,
-/// unbounded blocking receives) — the right mode on a trusted fabric.
+/// false the data plane tracks nothing (no chunk ids, no acks, unbounded
+/// blocking receives) — the right mode on a trusted fabric.
 /// Note on rto tuning: a chunk is acked when the receiver *dequeues* it,
 /// not when it lands in the mailbox, so the rto should comfortably exceed
 /// the receiver's worst per-volume compute time. A too-small rto is safe —
@@ -148,9 +148,6 @@ class Retransmitter {
   /// new id incarnation base: peers fast-forward their dedup to `base`
   /// (ChunkDedup::assume), so outgoing ids must restart above it.
   void set_id_base(std::uint32_t base);
-
-  /// True when every tracked frame has been acked or abandoned.
-  bool idle() const;
 
   /// Unacked outbox entries per destination node — the ops plane's
   /// reliable.outbox_depth gauge source. Every peer ever tracked is listed

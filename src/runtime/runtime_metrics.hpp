@@ -1,9 +1,9 @@
 // The runtime's canonical metric names (DESIGN.md §observability): one
 // fold from the data plane's hot-path counters (DataPlaneStats) into an
 // obs::MetricsRegistry, shared by every entry point — run_distributed,
-// run_distributed_tcp, and serve_stream all report the same names whether
-// the chunk path was serial or zero-copy, so consumers never branch on
-// which mode produced a result.
+// run_distributed_tcp, serve_stream, and serve::StreamServer all report
+// the same names, so consumers never branch on which path produced a
+// result.
 #pragma once
 
 #include "obs/metrics.hpp"

@@ -73,6 +73,7 @@ ServeResult serve_stream(const cnn::CnnModel& model,
   for (const auto& input : inputs) {
     validate_cluster_inputs(model, weights, input);
   }
+  // Validates the strategy before any thread starts.
   const auto plan = build_transfer_plan(model, strategy, n_devices);
   const int n_images = static_cast<int>(inputs.size());
   const int telemetry_every =
@@ -82,13 +83,15 @@ ServeResult serve_stream(const cnn::CnnModel& model,
                                                                        : 0);
 
   auto fabric = make_fabric(n_devices, options.use_tcp, options.faults,
-                            options.data_plane, options.shaping);
+                            DataPlaneMode::kOverlapZeroCopy, options.shaping);
   DataPlaneStats stats;
-  Supervisor supervisor = spawn_providers(
-      fabric, model, strategy, weights, plan,
-      /*n_images=*/-1, stats, options.reliability, options.exec,
-      options.data_plane, telemetry_every, options.heartbeat_ms,
-      options.provider_max_restarts);
+  // The stream is lane 0 of the shared provider loop, serving model 0.
+  constexpr int kStream = 0;
+  const TenantModel tenant{&model, &weights};
+  Supervisor supervisor = spawn_providers_multi(
+      fabric, n_devices, std::span<const TenantModel>(&tenant, 1), stats,
+      options.reliability, options.exec, telemetry_every,
+      options.heartbeat_ms, options.provider_max_restarts);
 
   ServeResult result;
   result.images = n_images;
@@ -117,8 +120,8 @@ ServeResult serve_stream(const cnn::CnnModel& model,
   std::atomic<int> pub_inflight{0};
   std::atomic<int> pub_last_epoch{-1};
 
-  RequesterContext ctx(fabric.requester(), plan, stats, options.reliability,
-                       options.data_plane);
+  RequesterContext ctx(fabric.requester(), n_devices, stats,
+                       options.reliability);
   std::unique_ptr<Retransmitter> rtx;
   if (options.reliability.enabled) {
     rtx = std::make_unique<Retransmitter>(fabric.requester(),
@@ -242,10 +245,19 @@ ServeResult serve_stream(const cnn::CnnModel& model,
                std::chrono::steady_clock::now() - t0)
         .count();
   };
+  // Registers and announces `next` as the lane's epoch from `from_seq` on.
+  const auto push_epoch_at = [&](const sim::RawStrategy& next, int from_seq) {
+    return push_stream_epoch(ctx, kStream, /*model_id=*/0, model, next,
+                             from_seq);
+  };
+  // The initial strategy is the lane's first epoch, announced like any
+  // swap; the strategy was validated above, so this cannot throw past the
+  // live providers.
+  push_epoch_at(strategy, 0);
   // Cut the stream over to `next` starting at the first unscattered image.
   const auto swap_now = [&](const sim::RawStrategy& next, int from_seq,
                             Ms pred_serving, Ms pred_next) {
-    const int epoch = push_epoch(ctx, model, next, from_seq);
+    const int epoch = push_epoch_at(next, from_seq);
     pub_last_epoch.store(epoch, std::memory_order_relaxed);
     result.reconfigurations.push_back(
         ReconfigEvent{epoch, from_seq, stream_s(), pred_serving, pred_next});
@@ -328,7 +340,7 @@ ServeResult serve_stream(const cnn::CnnModel& model,
       }
       inflight.clear();
     }
-    const int epoch = push_epoch(ctx, model, d.strategy, next_seq);
+    const int epoch = push_epoch_at(d.strategy, next_seq);
     pub_last_epoch.store(epoch, std::memory_order_relaxed);
     result.reconfigurations.push_back(ReconfigEvent{
         epoch, next_seq, stream_s(), d.predicted_serving_ms,
@@ -392,7 +404,8 @@ ServeResult serve_stream(const cnn::CnnModel& model,
         const int idx = todo.front();
         todo.pop_front();
         const std::int64_t scattered_us = obs::now_us();
-        scatter_image(ctx, next_seq, inputs[static_cast<std::size_t>(idx)]);
+        scatter_image(ctx, kStream, next_seq,
+                      inputs[static_cast<std::size_t>(idx)]);
         inflight.push_back({next_seq, idx, scattered_us});
         ++next_seq;
       }
@@ -413,14 +426,17 @@ ServeResult serve_stream(const cnn::CnnModel& model,
     switch (gathered) {
       case GatherStatus::kInterrupted:
         continue;  // pending death: the top of the loop runs the recovery
-      case GatherStatus::kFailed:
+      case GatherStatus::kFailed: {
         // A provider failed (its barrier shut the fabric down), a peer sent
         // plan-mismatched chunks, or the gather starved past its timeout
-        // budget.
+        // budget. A provider's own failure reason rides along.
         teardown();
+        const std::string cause = supervisor.stats().first_escalation;
         throw Error(
             "stream transport shut down or starved mid-gather (image " +
-            std::to_string(idx) + " of " + std::to_string(n_images) + ")");
+            std::to_string(idx) + " of " + std::to_string(n_images) + ")" +
+            (cause.empty() ? "" : ": " + cause));
+      }
       case GatherStatus::kOk:
         break;
     }

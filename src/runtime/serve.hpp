@@ -2,11 +2,14 @@
 // the requester keeps up to K images in flight across the transport —
 // scattering image seq+K while seq is still being computed — and reports the
 // measured wall-clock images/second next to the event simulator's
-// prediction for the same strategy. Providers run a shutdown-terminated
-// stream loop, so image count is the requester's business alone.
+// prediction for the same strategy. The stream is one lane (stream 0,
+// model 0) on the shared provider loop (runtime/worker.hpp): its initial
+// strategy is the lane's first announced epoch, and every image is
+// dispatched before it is scattered. Providers run until the requester's
+// kShutdown, so image count is the requester's business alone.
 //
 // With ServeOptions::faults the stream runs over a deterministically
-// degraded fabric (drops/duplicates/delays/partitions) and the wire-v2
+// degraded fabric (drops/duplicates/delays/partitions) and the
 // reliability protocol keeps it bit-exact; per-image retry/timeout stats
 // land in ServeResult::per_image, and a stream that genuinely cannot make
 // progress (e.g. a link severed past the retransmit budget) fails loudly
@@ -76,11 +79,6 @@ struct ServeOptions {
   /// Conv/pool engine of the provider workers (bit-exact either way; the
   /// fast default is what makes measured IPS track what the hardware allows).
   cnn::ExecContext exec = cnn::ExecContext::fast_shared();
-
-  /// Chunk path: halo-first zero-copy (default) or the PR-3 serial copying
-  /// baseline — bit-exact either way; bench/runtime_stream A/Bs the two in
-  /// one run.
-  DataPlaneMode data_plane = DataPlaneMode::kOverlapZeroCopy;
 
   /// When both are set, `predicted_ips` is filled from sim::stream_images
   /// (sequential-stream semantics — the pipeline should beat it). A fault

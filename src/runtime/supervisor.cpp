@@ -1,10 +1,27 @@
 #include "runtime/supervisor.hpp"
 
+#include <exception>
 #include <utility>
 
 #include "obs/trace.hpp"
 
 namespace de::runtime {
+
+namespace {
+
+/// The what() of the exception in flight, or a placeholder for a throw
+/// that is not a std::exception.
+std::string describe_current_exception() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "non-standard exception";
+  }
+}
+
+}  // namespace
 
 Supervisor::Supervisor(Options options)
     : state_(std::make_unique<State>()) {
@@ -49,6 +66,10 @@ void Supervisor::spawn(std::string name, int node,
         {
           std::lock_guard slk(state->mu);
           ++state->stats.escalations;
+          if (state->stats.first_escalation.empty()) {
+            state->stats.first_escalation =
+                name + ": " + describe_current_exception();
+          }
         }
         if (state->options.escalate) state->options.escalate();
         return;

@@ -38,6 +38,10 @@ class Supervisor {
     std::int64_t failures = 0;     ///< bodies that exited by exception
     std::int64_t restarts = 0;     ///< failures answered with a re-run
     std::int64_t escalations = 0;  ///< failures that exhausted the budget
+    /// "<thread name>: <what()>" of the first failure that escalated (empty
+    /// while none has), so an owner whose run the escalation tore down can
+    /// report why instead of just that the transport went away.
+    std::string first_escalation;
   };
 
   Supervisor() : Supervisor(Options()) {}

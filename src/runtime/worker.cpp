@@ -1,5 +1,6 @@
 #include "runtime/worker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -19,9 +20,9 @@ namespace {
 /// Receive outcome of one frame: a chunk, end-of-stream, skip (dropped
 /// control/malformed/duplicate frame — caller should keep receiving), an
 /// expired bounded wait (reliable mode only), an epoch announcement, a
-/// stream-dispatch announcement (multi-tenant providers only), a membership
-/// change, or a lane eviction (multi-tenant) — the requester/front door is
-/// the one sending all of the announcement kinds.
+/// stream-dispatch announcement, a membership change, or a lane eviction —
+/// the requester is the one sending all of the announcement kinds, so only
+/// providers ask for them.
 enum class RxKind {
   kChunk,
   kStop,
@@ -150,17 +151,6 @@ void broadcast_nack(rpc::Transport& transport, const TransferPlan& plan,
   stats.nacks.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// After a finite reliable run: keep servicing acks for our last chunks
-/// until the outbox drains, the requester releases us (kShutdown), or the
-/// transport closes. Bounded either way — unreachable receivers exhaust the
-/// attempt budget and the entries are abandoned.
-void drain_outbox(RxState& rx, Retransmitter& rtx) {
-  RxChunk ignored;
-  while (!rtx.idle()) {
-    if (receive_frame(rx, ignored) == RxKind::kStop) return;
-  }
-}
-
 /// Periodic kHeartbeat publisher (lease renewal) of one provider. Runs on
 /// its own small thread so renewals keep flowing while the provider loop
 /// blocks in a receive or a long compute — the lease answers "is the node
@@ -267,23 +257,14 @@ constexpr std::size_t kMaxPendingChunks = 4096;
               " timeout rounds) — peer dead or link severed past recovery");
 }
 
-/// Blits a received chunk into `dst`. The zero-copy path reads the wire
-/// bytes in place (one copy); the serial path first materializes the legacy
-/// owning tensor and then blits it — the pre-change double copy, preserved
-/// so the A/B baseline pays its true cost. Both count into bytes_copied.
+/// Blits a received chunk into `dst`, reading the wire bytes in place (the
+/// receive side's one copy, counted into bytes_copied).
 void blit_chunk(const RxChunk& chunk, cnn::Tensor& dst, int dst_offset,
-                DataPlaneMode mode, DataPlaneStats& stats) {
+                DataPlaneStats& stats) {
   const auto& v = chunk.view;
-  const auto payload = static_cast<Bytes>(v.payload_bytes());
-  if (mode == DataPlaneMode::kOverlapZeroCopy) {
-    rpc::copy_rows_to(v, v.row_offset, v.row_offset + v.h, dst, dst_offset);
-    stats.bytes_copied.fetch_add(payload, std::memory_order_relaxed);
-    return;
-  }
-  const cnn::Tensor rows = v.to_tensor();
-  blit_rows(rows, v.row_offset, v.row_offset, v.row_offset + v.h, dst,
-            dst_offset);
-  stats.bytes_copied.fetch_add(2 * payload, std::memory_order_relaxed);
+  rpc::copy_rows_to(v, v.row_offset, v.row_offset + v.h, dst, dst_offset);
+  stats.bytes_copied.fetch_add(static_cast<Bytes>(v.payload_bytes()),
+                               std::memory_order_relaxed);
 }
 
 /// Resizes `t` to (h, w, c) reusing its heap buffer (no zero fill — callers
@@ -335,16 +316,14 @@ void post_rows(rpc::Transport& transport, const rpc::Address& to,
 }
 
 /// One tenant stream's serving state on a provider: the epoch lane, the
-/// model the lane runs, and the per-epoch halo-first schedules. The legacy
-/// single-tenant loop is the degenerate case of exactly one lane (stream 0)
-/// seeded at construction.
+/// model the lane runs, and the per-epoch halo-first schedules.
 struct StreamLane {
   int stream = 0;
   int model_id = 0;
   const cnn::CnnModel* model = nullptr;
   const std::vector<cnn::ConvWeights>* weights = nullptr;
   EpochTable epochs;
-  /// Halo-first schedules per epoch id (overlap mode, built on first use).
+  /// Halo-first schedules per epoch id (built on first use).
   std::map<int, std::vector<PartSchedule>> schedules;
 };
 
@@ -352,22 +331,19 @@ struct StreamLane {
 /// chunk passes through admit(): chunks of unknown lanes/epochs park in
 /// `pending` until their announcement registers, known-epoch chunks are
 /// validated against the plan of *their* image's epoch and either consumed,
-/// stashed, or rejected loudly. Multi-tenant mode adds the global
-/// seq -> owning-stream dispatch records the front door broadcasts.
+/// stashed, or rejected loudly; the global seq -> owning-stream dispatch
+/// records the requester broadcasts live here too.
 struct ProviderState {
   int i;
-  int n_images;
-  bool multi = false;
-  /// Multi mode: the model registry reconfigure `model_id`s index into.
+  /// The model registry reconfigure `model_id`s index into.
   std::span<const TenantModel> fleet;
-  /// Epoch lanes keyed by stream id. Lanes are only ever added (a closed
-  /// stream's lane is a few plans, retire()d down to one; reclaiming the
-  /// map entries themselves needs a close protocol — ROADMAP item).
+  /// Epoch lanes keyed by stream id: opened by a stream's first
+  /// announcement, erased by sweep_evictions once it is closed and drained.
   std::map<int, StreamLane> lanes;
-  /// Multi mode: which stream owns each global fleet seq (kDispatch).
+  /// Which stream owns each global fleet seq (kDispatch).
   std::map<int, rpc::DispatchMsg> owners;
   /// Chunks that arrived ahead of their (image, volume) slot. Seqs are
-  /// global in multi mode, so one map serves every lane.
+  /// global, so one map serves every lane.
   std::map<std::pair<int, int>, std::vector<RxChunk>> stash;
   /// Chunks of lanes/epochs not announced to us yet.
   std::vector<RxChunk> pending;
@@ -375,7 +351,7 @@ struct ProviderState {
   /// their late chunks are dropped silently, never a geometry failure — the
   /// requester re-dispatches the same inputs under fresh seqs.
   int cancel_floor = 0;
-  /// Deferred lane evictions (multi mode): stream -> drained-below seq.
+  /// Deferred lane evictions: stream -> drained-below seq.
   std::map<int, int> evictions;
 
   StreamLane* lane_for(int stream) {
@@ -415,7 +391,7 @@ struct ProviderState {
       return false;
     }
     StreamLane* lane = lane_for(v.stream);
-    if (lane != nullptr && v.epoch < lane->epochs.oldest()) {
+    if (lane != nullptr && v.epoch < lane->epochs.horizon()) {
       // Tagged with retired history: every image that epoch served is long
       // gathered, so this is a stale duplicate that slipped dedup or a
       // hostile peer.
@@ -437,12 +413,10 @@ struct ProviderState {
     }
     const EpochPlan& owner = lane->epochs.at(v.seq);
     if (v.epoch != owner.epoch) fail_geometry(v);  // stale/foreign epoch tag
-    if (multi) {
-      // A dispatch we already hold must agree on the seq's owning stream.
-      auto it = owners.find(v.seq);
-      if (it != owners.end() && it->second.stream != v.stream) {
-        fail_geometry(v);
-      }
+    // A dispatch we already hold must agree on the seq's owning stream.
+    if (auto it = owners.find(v.seq);
+        it != owners.end() && it->second.stream != v.stream) {
+      fail_geometry(v);
     }
     // Chunks that can never be consumed would park in the stash for the
     // life of the stream; treat them as protocol violations.
@@ -451,7 +425,6 @@ struct ProviderState {
         owner.plan.expected[static_cast<std::size_t>(v.volume)]
                            [static_cast<std::size_t>(i)] == 0 ||
         v.seq < cur_seq || (v.seq == cur_seq && v.volume < cur_vol) ||
-        (n_images >= 0 && v.seq >= n_images) ||
         v.seq - cur_seq > kMaxImagesAhead;
     if (off_plan) fail_geometry(v);
     if (allow_consume && v.stream == cur_stream && v.seq == cur_seq &&
@@ -464,19 +437,16 @@ struct ProviderState {
 
   /// Registers an announced epoch on its stream's lane (creating the lane
   /// against fleet[model_id] on first sight of the stream) and re-admits
-  /// parked chunks it unlocks. Returns true when the epoch serving the
-  /// image currently being processed changed — the caller must restart it
-  /// under the new plan. Announcements for *other* streams' lanes never
-  /// restart the current image.
-  bool register_epoch(const rpc::ReconfigureMsg& msg, int cur_stream,
+  /// parked chunks it unlocks. The requester pins every dispatched image to
+  /// its epoch (a swap takes effect at the next *undispatched* seq), so an
+  /// announcement that re-maps the image being processed is a protocol
+  /// breach and throws. Announcements for *other* streams' lanes never
+  /// touch the current image.
+  void register_epoch(const rpc::ReconfigureMsg& msg, int cur_stream,
                       int cur_seq, int cur_vol) {
     obs::trace_instant(obs::Cat::kEpochRegister, msg.from_seq, -1, msg.epoch);
     StreamLane* lane = lane_for(msg.stream);
-    bool remapped = false;
     if (lane == nullptr) {
-      DE_REQUIRE(multi,
-                 "reconfigure names an unknown stream on a single-tenant "
-                 "provider");
       DE_REQUIRE(static_cast<std::size_t>(msg.model_id) < fleet.size(),
                  "reconfigure names an unknown tenant model");
       const TenantModel& tenant = fleet[static_cast<std::size_t>(msg.model_id)];
@@ -490,30 +460,28 @@ struct ProviderState {
       const bool tracking = msg.stream == cur_stream;
       const int before = tracking ? lane->epochs.at(cur_seq).epoch : 0;
       lane->epochs.add(epoch_from_reconfigure(msg, *lane->model));
-      remapped = tracking && lane->epochs.at(cur_seq).epoch != before;
+      DE_REQUIRE(!tracking || lane->epochs.at(cur_seq).epoch == before,
+                 "epoch re-mapped a dispatched image — the requester swapped "
+                 "behind its own dispatch");
     }
     // Re-admit parked chunks whose lane/epoch is now known. Consumption is
-    // disabled: anything for the current image under a *new* epoch belongs
-    // to the restart path, which re-pulls the stash from volume 0.
+    // disabled: a parked chunk's epoch was unknown, so it is never one the
+    // current image runs under — it stashes for a later image or fails.
     auto parked = std::move(pending);
     pending.clear();
     for (auto& chunk : parked) {
-      admit(chunk, cur_stream, cur_seq, remapped ? 0 : cur_vol,
-            /*allow_consume=*/false);
+      admit(chunk, cur_stream, cur_seq, cur_vol, /*allow_consume=*/false);
     }
-    return remapped;
   }
 
-  /// Records a kDispatch owner binding (multi mode; a single-tenant
-  /// provider receiving one is talking to a mismatched or hostile door).
+  /// Records a kDispatch owner binding.
   void register_dispatch(const rpc::DispatchMsg& msg, int cur_seq) {
-    DE_REQUIRE(multi, "dispatch announcement on a single-tenant provider");
     if (msg.seq < cur_seq) return;  // stale repeat of a finished image
     if (msg.seq - cur_seq > kMaxImagesAhead ||
         owners.size() >= kMaxPendingChunks) {
       throw Error("dispatch horizon overflow (seq " + std::to_string(msg.seq) +
                   " while processing " + std::to_string(cur_seq) +
-                  ") — runaway or hostile front door");
+                  ") — runaway or hostile requester");
     }
     auto [it, inserted] = owners.emplace(msg.seq, msg);
     DE_REQUIRE(inserted || (it->second.stream == msg.stream &&
@@ -559,17 +527,16 @@ struct ProviderState {
     return cur_seq < cancel_floor;
   }
 
-  /// Records a lane eviction (multi mode); applied by sweep_evictions once
-  /// the global cursor passes the drained watermark.
+  /// Records a lane eviction; applied by sweep_evictions once the global
+  /// cursor passes the drained watermark.
   void register_eviction(const rpc::LaneEvictMsg& msg) {
-    DE_REQUIRE(multi, "lane eviction on a single-tenant provider");
     auto [it, inserted] = evictions.emplace(msg.stream, msg.below_seq);
     if (!inserted) it->second = std::max(it->second, msg.below_seq);
   }
 
   /// Drops the epoch lanes (history, schedules, weights binding) of closed
   /// streams whose eviction watermark the cursor has passed. Per-sender
-  /// FIFO from the front door means no later frame can legitimately revive
+  /// FIFO from the requester means no later frame can legitimately revive
   /// an evicted lane; a straggler would park in `pending` like any chunk of
   /// an unannounced stream.
   void sweep_evictions(int cur_seq, DataPlaneStats& stats) {
@@ -588,89 +555,45 @@ struct ProviderState {
   }
 };
 
-}  // namespace
-
-void post_chunk(rpc::Transport& transport, const rpc::Address& to,
-                rpc::ChunkMsg msg, DataPlaneStats& stats, Retransmitter* rtx) {
-  const auto payload =
-      static_cast<Bytes>(msg.rows.size()) * static_cast<Bytes>(sizeof(float));
-  stats.messages.fetch_add(1, std::memory_order_relaxed);
-  stats.bytes.fetch_add(payload, std::memory_order_relaxed);
-  stats.bytes_copied.fetch_add(payload, std::memory_order_relaxed);  // encode
-  if (rtx != nullptr) {
-    msg.from_node = transport.local_node();
-    msg.chunk_id = rtx->next_chunk_id(to.node);
-    rpc::Frame frame(rpc::encode_chunk(msg));
-    stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                               std::memory_order_relaxed);
-    rtx->track(to, msg.chunk_id, frame);  // refcount share, not a copy
-    transport.send(to, std::move(frame));
-    return;
-  }
-  rpc::Frame frame(rpc::encode_chunk(msg));
-  stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                             std::memory_order_relaxed);
-  transport.send(to, std::move(frame));
-}
-
-void post_reconfigure(rpc::Transport& transport, const rpc::Address& to,
-                      rpc::ReconfigureMsg msg, DataPlaneStats& stats,
-                      Retransmitter* rtx) {
+/// Stamps, encodes and posts one announcement frame (reconfigure, dispatch,
+/// membership, lane eviction). With `rtx` set the frame is tracked exactly
+/// like a tensor chunk — the receiver acks it on the same path — so an
+/// announcement survives the same faults the data it gates does.
+template <typename Msg, typename Encode>
+void post_tracked(rpc::Transport& transport, const rpc::Address& to, Msg msg,
+                  Encode encode, DataPlaneStats& stats, Retransmitter* rtx) {
   if (rtx != nullptr) {
     msg.from_node = transport.local_node();
     msg.chunk_id = rtx->next_chunk_id(to.node);
   }
-  rpc::Frame frame(rpc::encode_reconfigure(msg));
+  rpc::Frame frame(encode(msg));
   stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
                              std::memory_order_relaxed);
   if (rtx != nullptr) rtx->track(to, msg.chunk_id, frame);
   transport.send(to, std::move(frame));
 }
 
-namespace {
-
-/// Posts a kDispatch announcement, tracked exactly like a reconfigure.
-void post_dispatch(rpc::Transport& transport, const rpc::Address& to,
-                   rpc::DispatchMsg msg, DataPlaneStats& stats,
-                   Retransmitter* rtx) {
-  if (rtx != nullptr) {
-    msg.from_node = transport.local_node();
-    msg.chunk_id = rtx->next_chunk_id(to.node);
-  }
-  rpc::Frame frame(rpc::encode_dispatch(msg));
-  stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                             std::memory_order_relaxed);
-  if (rtx != nullptr) rtx->track(to, msg.chunk_id, frame);
-  transport.send(to, std::move(frame));
-}
-
-enum class ImageOutcome { kDone, kRestart, kStop, kCancelled };
+enum class ImageOutcome { kDone, kStop, kCancelled };
 
 /// Executes image `seq` on provider `i` under the epoch of `lane` (the
-/// stream that owns the image) currently serving it. kRestart means an
-/// epoch announcement re-mapped this image before any of it was consumed or
-/// computed — rerun under the new plan.
+/// stream that owns the image) currently serving it.
 ImageOutcome process_image(
     ProviderState& state, RxState& rx, rpc::Transport& transport,
     StreamLane& lane, int seq, DataPlaneStats& stats,
     const ReliabilityOptions& reliability, cnn::ExecContext& exec_ctx,
-    DataPlaneMode mode, rpc::FrameArena& arena,
-    std::optional<ChunkSender>& sender, Retransmitter* rtx,
-    cnn::Tensor& crop_buf, cnn::Tensor (&out_bufs)[2], int& cur_buf,
+    rpc::FrameArena& arena, ChunkSender& sender, Retransmitter* rtx,
+    cnn::Tensor& crop, cnn::Tensor (&out_bufs)[2], int& cur_buf,
     double& compute_ms) {
   const int i = state.i;
   const cnn::CnnModel& model = *lane.model;
   const std::vector<cnn::ConvWeights>& weights = *lane.weights;
-  const bool overlap = mode == DataPlaneMode::kOverlapZeroCopy;
-  const EpochPlan& ep = lane.epochs.at(seq);  // deque-backed: stays valid
+  const EpochPlan& ep = lane.epochs.at(seq);  // heap-owned: stays valid
   const TransferPlan& plan = ep.plan;
   const sim::RawStrategy& strategy = ep.strategy;
   const int n_volumes = plan.num_volumes();
 
-  cnn::Tensor legacy_prev;           // serial mode's previous-part output
   const cnn::Tensor* prev_out = nullptr;
   cnn::RowInterval prev_rows{0, 0};  // which absolute rows prev_out holds
-  bool touched = false;  // consumed a chunk or produced rows for this image
 
   for (int l = 0; l < n_volumes; ++l) {
     const auto volume = strategy.volumes[static_cast<std::size_t>(l)];
@@ -691,17 +614,10 @@ ImageOutcome process_image(
     }
 
     const auto& first_layer = model.layer(volume.first);
-    cnn::Tensor legacy_crop;
-    if (overlap) {
-      reshape(crop_buf, need.size(), first_layer.in_w, first_layer.in_c);
-    } else {
-      legacy_crop =
-          cnn::Tensor(need.size(), first_layer.in_w, first_layer.in_c);
-    }
-    cnn::Tensor& crop = overlap ? crop_buf : legacy_crop;
+    reshape(crop, need.size(), first_layer.in_w, first_layer.in_c);
 
     // Assemble phase: local blit + remote chunk waits, one span per volume.
-    // std::optional so the span closes before the compute span opens.
+    // std::optional so the span closes before the compute spans open.
     std::optional<obs::SpanScope> assemble;
     if (obs::trace_enabled()) {
       assemble.emplace(obs::Cat::kAssemble, seq, l, ep.epoch);
@@ -728,8 +644,7 @@ ImageOutcome process_image(
         if (!chunk_fits(chunk.view, need, crop.w, crop.c)) {
           fail_geometry(chunk.view);
         }
-        blit_chunk(chunk, crop, need.begin, mode, stats);
-        touched = true;
+        blit_chunk(chunk, crop, need.begin, stats);
         --remaining;
       }
       state.stash.erase(it);
@@ -741,8 +656,7 @@ ImageOutcome process_image(
       rpc::DispatchMsg dmsg;
       rpc::MembershipMsg mmsg;
       rpc::LaneEvictMsg emsg;
-      switch (receive_frame(rx, chunk, &rmsg, state.multi ? &dmsg : nullptr,
-                            &mmsg, state.multi ? &emsg : nullptr)) {
+      switch (receive_frame(rx, chunk, &rmsg, &dmsg, &mmsg, &emsg)) {
         case RxKind::kStop:
           return ImageOutcome::kStop;  // shutdown: abandon the image
         case RxKind::kSkip:
@@ -776,17 +690,7 @@ ImageOutcome process_image(
           state.register_eviction(emsg);
           continue;
         case RxKind::kReconfig:
-          if (state.register_epoch(rmsg, lane.stream, seq, l)) {
-            // This image now belongs to a newer epoch. Nothing of it can
-            // have been consumed or computed yet (the requester announces
-            // before any new-epoch traffic, and no old-epoch traffic for
-            // it was ever produced) — anything else is a protocol breach.
-            DE_REQUIRE(!touched,
-                       "epoch re-mapped an image already in progress — "
-                       "reconfigure raced past its cutover boundary");
-            obs::trace_instant(obs::Cat::kImageRestart, seq, l, rmsg.epoch);
-            return ImageOutcome::kRestart;
-          }
+          state.register_epoch(rmsg, lane.stream, seq, l);
           continue;
         case RxKind::kChunk:
           break;
@@ -798,286 +702,87 @@ ImageOutcome process_image(
       if (!chunk_fits(chunk.view, need, crop.w, crop.c)) {
         fail_geometry(chunk.view);
       }
-      blit_chunk(chunk, crop, need.begin, mode, stats);
-      touched = true;
+      blit_chunk(chunk, crop, need.begin, stats);
       --remaining;
     }
 
     assemble.reset();  // inputs complete; the rest of the volume is compute
 
-    double t_compute = 0;
+    // Halo-first banded compute: boundary bands land in `out` first and
+    // their chunks ship through the sender thread while the interior bands
+    // still run — the transport writes overlap the SIMD kernels.
     const auto t0 = std::chrono::steady_clock::now();
-    if (overlap) {
-      // Halo-first banded compute: boundary bands land in `out` first and
-      // their chunks ship through the sender thread while the interior
-      // bands still run — the transport writes overlap the SSE kernels.
-      cnn::Tensor& out = out_bufs[cur_buf];
-      reshape(out, part.size(), layers.back().out_w(), layers.back().out_c);
-      const auto& sched =
-          state.schedules_for(lane, ep)[static_cast<std::size_t>(l)];
-      std::size_t next_send = 0;
-      for (std::size_t b = 0; b < sched.bands.size(); ++b) {
-        {
-          obs::SpanScope band(obs::Cat::kComputeBand, seq, l, ep.epoch,
-                              static_cast<std::int64_t>(b));
-          cnn::volume_forward_rows_into(layers, crop, need.begin,
-                                        sched.bands[b], weights_span, exec_ctx,
-                                        out, part.begin);
-        }
-        for (; next_send < sched.sends.size() &&
-               sched.sends[next_send].ready_after_band <=
-                   static_cast<int>(b);
-             ++next_send) {
-          const auto& send = sched.sends[next_send];
-          const bool gather = l + 1 == n_volumes;
-          post_rows(transport, data_addr(send.to),
-                    gather ? rpc::MsgType::kGather : rpc::MsgType::kHaloRows,
-                    lane.stream, seq, gather ? n_volumes : l + 1, ep.epoch,
-                    out, part.begin, send.rows, arena, stats, rtx, &*sender);
-        }
-      }
-      prev_out = &out;
-      cur_buf ^= 1;
-    } else {
-      // Serial baseline: whole-part compute, then copying sends from this
-      // thread (slice temporary + encode copy), exactly the PR-3 path.
-      const cnn::Tensor legacy_cur = crop;
-      cnn::Tensor out;
+    cnn::Tensor& out = out_bufs[cur_buf];
+    reshape(out, part.size(), layers.back().out_w(), layers.back().out_c);
+    const auto& sched =
+        state.schedules_for(lane, ep)[static_cast<std::size_t>(l)];
+    std::size_t next_send = 0;
+    for (std::size_t b = 0; b < sched.bands.size(); ++b) {
       {
-        obs::SpanScope comp(obs::Cat::kCompute, seq, l, ep.epoch);
-        out = cnn::volume_forward_rows(layers, legacy_cur, need.begin, part,
-                                       weights_span, exec_ctx);
+        obs::SpanScope band(obs::Cat::kComputeBand, seq, l, ep.epoch,
+                            static_cast<std::int64_t>(b));
+        cnn::volume_forward_rows_into(layers, crop, need.begin,
+                                      sched.bands[b], weights_span, exec_ctx,
+                                      out, part.begin);
       }
-      if (l + 1 < n_volumes) {
-        for (int k = 0; k < plan.n_devices; ++k) {
-          if (k == i) continue;
-          const auto& kneed = plan.needs[static_cast<std::size_t>(l + 1)]
-                                        [static_cast<std::size_t>(k)];
-          const auto chunk = kneed.intersect(part);
-          if (chunk.empty()) continue;
-          stats.bytes_copied.fetch_add(  // the sliced temporary
-              static_cast<Bytes>(chunk.size()) * out.w * out.c * 4,
-              std::memory_order_relaxed);
-          post_chunk(transport, data_addr(k),
-                     rpc::ChunkMsg{rpc::MsgType::kHaloRows, seq, l + 1,
-                                   chunk.begin, rpc::kNilNode, 0, ep.epoch,
-                                   lane.stream,
-                                   slice_rows(out, part.begin, chunk.begin,
-                                              chunk.end)},
-                     stats, rtx);
-        }
-      } else {
-        // Final volume: `out` is not needed locally again, so move it.
-        post_chunk(transport, data_addr(plan.requester_node()),
-                   rpc::ChunkMsg{rpc::MsgType::kGather, seq, n_volumes,
-                                 part.begin, rpc::kNilNode, 0, ep.epoch,
-                                 lane.stream, std::move(out)},
-                   stats, rtx);
+      for (; next_send < sched.sends.size() &&
+             sched.sends[next_send].ready_after_band <= static_cast<int>(b);
+           ++next_send) {
+        const auto& send = sched.sends[next_send];
+        const bool gather = l + 1 == n_volumes;
+        post_rows(transport, data_addr(send.to),
+                  gather ? rpc::MsgType::kGather : rpc::MsgType::kHaloRows,
+                  lane.stream, seq, gather ? n_volumes : l + 1, ep.epoch, out,
+                  part.begin, send.rows, arena, stats, rtx, &sender);
       }
-      legacy_prev = std::move(out);
-      prev_out = &legacy_prev;
     }
-    t_compute = std::chrono::duration_cast<std::chrono::duration<double>>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    compute_ms += t_compute * 1e3;
-    touched = true;
+    prev_out = &out;
+    cur_buf ^= 1;
+    compute_ms += std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
     prev_rows = part;
   }
   return ImageOutcome::kDone;
 }
 
-}  // namespace
-
-void provider_loop(rpc::Transport& transport, int i, const cnn::CnnModel& model,
-                   const sim::RawStrategy& strategy,
-                   const std::vector<cnn::ConvWeights>& weights,
-                   const TransferPlan& plan, int n_images,
-                   DataPlaneStats& stats,
-                   const ReliabilityOptions& reliability,
-                   const cnn::ExecContext& exec, DataPlaneMode mode,
-                   const TelemetryHooks& telemetry) {
-  const bool overlap = mode == DataPlaneMode::kOverlapZeroCopy;
-  ChunkDedup dedup;
-  RxState rx{transport, reliability, stats, dedup};
-  ProviderState state{i, n_images, /*multi=*/false, {}, {}, {}, {}, {}};
-  state.lanes.emplace(
-      0, StreamLane{0, 0, &model, &weights,
-                    EpochTable(EpochPlan{0, 0, strategy, plan}), {}});
-  StreamLane& lane = state.lanes.at(0);  // map node: stable address
-
-  std::unique_ptr<Retransmitter> rtx;
-  if (reliability.enabled) {
-    rtx = std::make_unique<Retransmitter>(transport, reliability, stats);
-  }
-
-  // Lease renewals to the membership collector (off unless configured).
-  Heartbeater heartbeat(transport,
-                        telemetry.heartbeat_to != rpc::kNilNode
-                            ? telemetry.heartbeat_to
-                            : plan.requester_node(),
-                        telemetry.heartbeat_ms, telemetry.clock_origin_us,
-                        stats);
-
-  // Pack each conv layer's weights once for the run, not once per image.
-  cnn::ExecCache exec_cache;
-  cnn::ExecContext exec_ctx = exec;
-  exec_ctx.cache = &exec_cache;
-
-  // Per-run overlap state: recycled frame buffers, the dedicated sender
-  // thread, and reusable crop/part tensors — steady-state images allocate
-  // nothing on the chunk path.
-  rpc::FrameArena arena;
-  std::optional<ChunkSender> sender;
-  if (overlap) sender.emplace(transport);
-  cnn::Tensor crop_buf;
-  cnn::Tensor out_bufs[2];
-  int cur_buf = 0;
-
-  // The loop below returns from several places (stream shutdown arrives in
-  // the middle of an image); the sender must drain and the arena's
-  // allocation count must fold into the shared stats on every path.
-  struct Cleanup {
-    std::optional<ChunkSender>& sender;
-    rpc::FrameArena& arena;
-    DataPlaneStats& stats;
-    ~Cleanup() {
-      if (sender) sender->drain();
-      stats.frame_allocs.fetch_add(arena.stats().allocated,
-                                   std::memory_order_relaxed);
-    }
-  } cleanup{sender, arena, stats};
-
-  // Telemetry window accumulators.
-  auto window_start = std::chrono::steady_clock::now();
-  double window_compute_ms = 0;
-  int window_images = 0;
-
-  int seq = 0;
-  while (n_images < 0 || seq < n_images) {
-    // Nothing before `seq` can be referenced again: retire superseded
-    // epoch history (and its schedules) so unbounded streams with many
-    // reconfigurations do not accrete plans. No EpochPlan reference is
-    // held across this point.
-    lane.epochs.retire(seq);
-    lane.schedules.erase(lane.schedules.begin(),
-                         lane.schedules.lower_bound(lane.epochs.oldest()));
-
-    // Resolve the epoch serving `seq`; while this device is idle under it,
-    // jump to the next known epoch's first image, or — streaming runs —
-    // listen for the announcement that re-activates us (or the shutdown).
-    if (!lane.epochs.at(seq).plan.device_active(i)) {
-      if (const EpochPlan* next = lane.epochs.after(seq)) {
-        seq = next->from_seq;
-        continue;
-      }
-      if (n_images >= 0) return;  // finite run: nothing will ever change
-      RxChunk chunk;
-      rpc::ReconfigureMsg rmsg;
-      rpc::MembershipMsg mmsg;
-      switch (receive_frame(rx, chunk, &rmsg, nullptr, &mmsg)) {
-        case RxKind::kStop:
-          return;
-        case RxKind::kSkip:
-        case RxKind::kTimeout:
-          // Timeouts on an idle device are expected, not starvation.
-          continue;
-        case RxKind::kReconfig:
-          state.register_epoch(rmsg, lane.stream, seq, 0);
-          continue;
-        case RxKind::kMembership:
-          state.register_membership(mmsg, rx, rtx.get(), seq);
-          seq = std::max(seq, state.cancel_floor);
-          continue;
-        case RxKind::kDispatch:   // unreachable: dispatch ptr not passed
-        case RxKind::kLaneEvict:  // unreachable: lane-evict ptr not passed
-        case RxKind::kChunk:
-          state.admit(chunk, lane.stream, seq, 0, /*allow_consume=*/false);
-          continue;
-      }
-      continue;
-    }
-
-    double compute_ms = 0;
-    switch (process_image(state, rx, transport, lane, seq, stats,
-                          reliability, exec_ctx, mode, arena, sender,
-                          rtx.get(), crop_buf, out_bufs, cur_buf,
-                          compute_ms)) {
-      case ImageOutcome::kStop:
-        return;
-      case ImageOutcome::kRestart:
-        continue;  // same seq, new epoch
-      case ImageOutcome::kCancelled:
-        seq = state.cancel_floor;  // voided: resume at the re-dispatch point
-        continue;
-      case ImageOutcome::kDone:
-        break;
-    }
-    window_compute_ms += compute_ms;
-    ++window_images;
-    ++seq;
-
-    if (telemetry.every_images > 0 &&
-        window_images >= telemetry.every_images) {
-      const auto now = std::chrono::steady_clock::now();
-      rpc::TelemetryMsg report;
-      report.from_node = i;
-      report.window_s =
-          std::chrono::duration_cast<std::chrono::duration<double>>(
-              now - window_start)
-              .count();
-      report.compute_ms = window_compute_ms / window_images;
-      report.images = window_images;
-      if (telemetry.links != nullptr) {
-        report.links = telemetry.links->sample_link_rates();
-      }
-      // Node-local steady clock (wire v4): lets the collector estimate this
-      // node's clock offset when merging traces (src/obs/trace_export.hpp).
-      report.steady_now_us = obs::now_us() - telemetry.clock_origin_us;
-      obs::trace_instant(obs::Cat::kTelemetryPub, seq, -1, -1, window_images);
-      rpc::Frame frame(rpc::encode_telemetry(report));
-      stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                                 std::memory_order_relaxed);
-      // Fire-and-forget: a lost report just widens the next window. The
-      // requester's node id is the same under every epoch (device count is
-      // fixed for the life of a stream).
-      transport.send(rpc::Address{plan.requester_node(), rpc::kTelemetryMailbox},
-                     std::move(frame));
-      window_start = now;
-      window_compute_ms = 0;
-      window_images = 0;
-    }
-  }
-
-  // Finite reliable run: our final gathers may still be unacked; keep the
-  // link serviced until they are (or the budget runs out). The sender must
-  // have handed the frames over first (its queue is our side of the story).
-  if (sender) sender->drain();
-  if (rtx != nullptr && n_images >= 0) drain_outbox(rx, *rtx);
+/// Records [from_us, now) as a kAssemble span of image `seq`: the
+/// provider's wait for the image's dispatch and lane epoch is input wait
+/// like any halo wait, and at a small in-flight window it is most of the
+/// provider's idle time.
+void record_dispatch_wait(std::int64_t from_us, int seq, int epoch) {
+  obs::TraceEvent ev;
+  ev.ts_us = from_us;
+  ev.dur_us = static_cast<std::int32_t>(
+      std::min<std::int64_t>(obs::now_us() - from_us, INT32_MAX));
+  ev.cat = static_cast<std::uint16_t>(obs::Cat::kAssemble);
+  ev.seq = seq;
+  ev.volume = 0;
+  ev.epoch = epoch;
+  obs::TraceRecorder::instance().record(ev);
 }
+
+}  // namespace
 
 void provider_loop_multi(rpc::Transport& transport, int i,
                          std::span<const TenantModel> fleet,
                          DataPlaneStats& stats,
                          const ReliabilityOptions& reliability,
-                         const cnn::ExecContext& exec, DataPlaneMode mode,
+                         const cnn::ExecContext& exec,
                          const TelemetryHooks& telemetry) {
-  const bool overlap = mode == DataPlaneMode::kOverlapZeroCopy;
   ChunkDedup dedup;
   RxState rx{transport, reliability, stats, dedup};
-  ProviderState state{i, /*n_images=*/-1, /*multi=*/true, fleet,
-                      {}, {}, {}, {}};
+  ProviderState state{i, fleet, {}, {}, {}, {}, {}, {}};
 
   std::unique_ptr<Retransmitter> rtx;
   if (reliability.enabled) {
     rtx = std::make_unique<Retransmitter>(transport, reliability, stats);
   }
 
-  // Lease renewals to the front door. The multi loop has no seed plan to
-  // derive the collector node from, so it must be given explicitly.
+  // Lease renewals to the collector, which must be named explicitly.
   DE_REQUIRE(telemetry.heartbeat_ms <= 0 ||
                  telemetry.heartbeat_to != rpc::kNilNode,
-             "multi-tenant heartbeats need an explicit collector node");
+             "heartbeats need an explicit collector node");
   Heartbeater heartbeat(transport, telemetry.heartbeat_to,
                         telemetry.heartbeat_ms, telemetry.clock_origin_us,
                         stats);
@@ -1087,19 +792,24 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   std::vector<cnn::ExecCache> caches(fleet.size());
   cnn::ExecContext exec_ctx = exec;
 
+  // Per-run chunk-path state: recycled frame buffers, the dedicated sender
+  // thread, and reusable crop/part tensors — steady-state images allocate
+  // nothing on the chunk path.
   rpc::FrameArena arena;
-  std::optional<ChunkSender> sender;
-  if (overlap) sender.emplace(transport);
+  ChunkSender sender(transport);
   cnn::Tensor crop_buf;
   cnn::Tensor out_bufs[2];
   int cur_buf = 0;
 
+  // The loop returns from several places (shutdown arrives in the middle of
+  // an image); the sender must drain and the arena's allocation count must
+  // fold into the shared stats on every path.
   struct Cleanup {
-    std::optional<ChunkSender>& sender;
+    ChunkSender& sender;
     rpc::FrameArena& arena;
     DataPlaneStats& stats;
     ~Cleanup() {
-      if (sender) sender->drain();
+      sender.drain();
       stats.frame_allocs.fetch_add(arena.stats().allocated,
                                    std::memory_order_relaxed);
     }
@@ -1110,10 +820,10 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   int window_images = 0;
 
   int seq = 0;  // global fleet sequence, interleaved across streams
+  std::int64_t wait_from_us = -1;  // traced: when the wait for seq began
   for (;;) {
     // Retire history nothing before `seq` can reference again: finished
     // dispatch records and every lane's superseded epochs + schedules.
-    // (Lane map entries themselves live for the run — see ProviderState.)
     state.owners.erase(state.owners.begin(), state.owners.lower_bound(seq));
     state.sweep_evictions(seq, stats);
     for (auto& [id, l] : state.lanes) {
@@ -1123,12 +833,14 @@ void provider_loop_multi(rpc::Transport& transport, int i,
     }
 
     // Resolve which stream owns `seq`. Until its dispatch (and the lane
-    // epoch it names) has been announced, block on the mailbox — the door
-    // tracks both announcements, so they arrive or the stream ends.
+    // epoch it names) has been announced, block on the mailbox — the
+    // requester tracks both announcements, so they arrive or the stream
+    // ends.
     const auto own = state.owners.find(seq);
     StreamLane* lane =
         own == state.owners.end() ? nullptr : state.lane_for(own->second.stream);
     if (lane == nullptr || !lane->epochs.knows(own->second.epoch)) {
+      if (wait_from_us < 0 && obs::trace_enabled()) wait_from_us = obs::now_us();
       RxChunk chunk;
       rpc::ReconfigureMsg rmsg;
       rpc::DispatchMsg dmsg;
@@ -1169,24 +881,21 @@ void provider_loop_multi(rpc::Transport& transport, int i,
       // Inactive for this image under its owner's plan; the dispatch
       // record is what lets us skip it without waiting for chunks.
       ++seq;
+      wait_from_us = -1;
       continue;
+    }
+    if (wait_from_us >= 0) {
+      record_dispatch_wait(wait_from_us, seq, ep.epoch);
+      wait_from_us = -1;
     }
 
     exec_ctx.cache = &caches[static_cast<std::size_t>(lane->model_id)];
     double compute_ms = 0;
     switch (process_image(state, rx, transport, *lane, seq, stats,
-                          reliability, exec_ctx, mode, arena, sender,
-                          rtx.get(), crop_buf, out_bufs, cur_buf,
-                          compute_ms)) {
+                          reliability, exec_ctx, arena, sender, rtx.get(),
+                          crop_buf, out_bufs, cur_buf, compute_ms)) {
       case ImageOutcome::kStop:
         return;
-      case ImageOutcome::kRestart:
-        // The door pins every dispatched image to its epoch (per-stream
-        // swaps take effect at the next *undispatched* global seq), so a
-        // re-map of an in-flight image is a front-door protocol breach.
-        DE_REQUIRE(false, "epoch re-mapped a dispatched image — the front "
-                          "door swapped behind its own dispatch");
-        continue;
       case ImageOutcome::kCancelled:
         seq = state.cancel_floor;  // voided: resume at the re-dispatch point
         continue;
@@ -1211,13 +920,16 @@ void provider_loop_multi(rpc::Transport& transport, int i,
       if (telemetry.links != nullptr) {
         report.links = telemetry.links->sample_link_rates();
       }
+      // Node-local steady clock: lets the collector estimate this node's
+      // clock offset when merging traces (src/obs/trace_export.hpp).
       report.steady_now_us = obs::now_us() - telemetry.clock_origin_us;
       obs::trace_instant(obs::Cat::kTelemetryPub, seq, -1, -1, window_images);
       rpc::Frame frame(rpc::encode_telemetry(report));
       stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
                                  std::memory_order_relaxed);
-      // The requester node id is plan-invariant (device count is fixed for
-      // the life of the fleet), so any lane's current plan works here.
+      // Fire-and-forget: a lost report just widens the next window. The
+      // requester node id is plan-invariant (device count is fixed for the
+      // life of the fleet), so any lane's current plan works here.
       transport.send(
           rpc::Address{ep.plan.requester_node(), rpc::kTelemetryMailbox},
           std::move(frame));
@@ -1228,31 +940,9 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   }
 }
 
-int push_epoch(RequesterContext& ctx, const cnn::CnnModel& model,
-               const sim::RawStrategy& strategy, int from_seq) {
-  EpochPlan next;
-  next.epoch = ctx.epochs.latest() + 1;
-  next.from_seq = from_seq;
-  next.strategy = strategy;
-  next.plan = build_transfer_plan(model, strategy,
-                                  ctx.epochs.latest_plan().plan.n_devices);
-  rpc::ReconfigureMsg msg = reconfigure_from_epoch(next);
-  const int n_devices = next.plan.n_devices;
-  const int epoch = next.epoch;
-  obs::trace_instant(obs::Cat::kEpochPush, from_seq, -1, epoch);
-  ctx.epochs.add(std::move(next));
-  // Announce to every provider — the idle ones too: an epoch may activate
-  // a device the previous one never used.
-  for (int k = 0; k < n_devices; ++k) {
-    post_reconfigure(ctx.transport, data_addr(k), msg, ctx.stats, ctx.rtx);
-  }
-  return epoch;
-}
-
 int push_stream_epoch(RequesterContext& ctx, int stream, int model_id,
                       const cnn::CnnModel& model,
                       const sim::RawStrategy& strategy, int from_seq) {
-  DE_REQUIRE(ctx.multi, "push_stream_epoch on a single-tenant context");
   DE_REQUIRE(model_id >= 0, "tenant model ids are non-negative");
   EpochPlan next;
   next.epoch = ctx.next_epoch++;  // global allocation: lanes never share ids
@@ -1269,61 +959,28 @@ int push_stream_epoch(RequesterContext& ctx, int stream, int model_id,
   } else {
     ctx.lanes.emplace(stream, EpochTable(std::move(next)));
   }
-  // Announce to every provider — the idle ones too — before any traffic of
-  // the new regime, exactly like the single-tenant push_epoch.
   for (int k = 0; k < ctx.n_devices; ++k) {
-    post_reconfigure(ctx.transport, data_addr(k), msg, ctx.stats, ctx.rtx);
+    post_tracked(ctx.transport, data_addr(k), msg, rpc::encode_reconfigure,
+                 ctx.stats, ctx.rtx);
   }
   return epoch;
 }
 
-void dispatch_image(RequesterContext& ctx, int stream, int seq) {
-  DE_REQUIRE(ctx.multi, "dispatch_image on a single-tenant context");
-  const auto lane = ctx.lanes.find(stream);
-  DE_REQUIRE(lane != ctx.lanes.end(),
-             "dispatch for a stream with no epoch lane");
-  const EpochPlan& ep = lane->second.at(seq);
-  DE_REQUIRE(ctx.owner.emplace(seq, stream).second,
-             "global seq already dispatched");
-  const rpc::DispatchMsg msg{rpc::kNilNode, 0, stream, seq, ep.epoch};
-  for (int k = 0; k < ctx.n_devices; ++k) {
-    post_dispatch(ctx.transport, data_addr(k), msg, ctx.stats, ctx.rtx);
-  }
-}
-
 void retire_below(RequesterContext& ctx, int watermark) {
-  if (!ctx.multi) {
-    ctx.epochs.retire(watermark);
-    return;
-  }
   for (auto& [stream, lane] : ctx.lanes) lane.retire(watermark);
   ctx.owner.erase(ctx.owner.begin(), ctx.owner.lower_bound(watermark));
 }
 
 void post_membership(RequesterContext& ctx, rpc::NodeId to,
                      rpc::MembershipMsg msg) {
-  if (ctx.rtx != nullptr) {
-    msg.from_node = ctx.transport.local_node();
-    msg.chunk_id = ctx.rtx->next_chunk_id(to);
-  }
-  rpc::Frame frame(rpc::encode_membership(msg));
-  ctx.stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                                 std::memory_order_relaxed);
-  if (ctx.rtx != nullptr) ctx.rtx->track(data_addr(to), msg.chunk_id, frame);
-  ctx.transport.send(data_addr(to), std::move(frame));
+  post_tracked(ctx.transport, data_addr(to), std::move(msg),
+               rpc::encode_membership, ctx.stats, ctx.rtx);
 }
 
 void post_lane_evict(RequesterContext& ctx, rpc::NodeId to,
                      rpc::LaneEvictMsg msg) {
-  if (ctx.rtx != nullptr) {
-    msg.from_node = ctx.transport.local_node();
-    msg.chunk_id = ctx.rtx->next_chunk_id(to);
-  }
-  rpc::Frame frame(rpc::encode_lane_evict(msg));
-  ctx.stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                                 std::memory_order_relaxed);
-  if (ctx.rtx != nullptr) ctx.rtx->track(data_addr(to), msg.chunk_id, frame);
-  ctx.transport.send(data_addr(to), std::move(frame));
+  post_tracked(ctx.transport, data_addr(to), msg, rpc::encode_lane_evict,
+               ctx.stats, ctx.rtx);
 }
 
 std::size_t apply_membership_local(RequesterContext& ctx,
@@ -1346,36 +1003,28 @@ std::size_t apply_membership_local(RequesterContext& ctx,
   return cancelled;
 }
 
-void scatter_image(RequesterContext& ctx, int seq, const cnn::Tensor& input) {
-  int stream = 0;
-  const EpochPlan* resolved;
-  if (ctx.multi) {
-    stream = ctx.owner.at(seq);  // dispatch_image must have bound it
-    resolved = &ctx.lanes.at(stream).at(seq);
-  } else {
-    resolved = &ctx.epochs.at(seq);
+void scatter_image(RequesterContext& ctx, int stream, int seq,
+                   const cnn::Tensor& input) {
+  const auto lane = ctx.lanes.find(stream);
+  DE_REQUIRE(lane != ctx.lanes.end(),
+             "dispatch for a stream with no epoch lane");
+  const EpochPlan& ep = lane->second.at(seq);
+  DE_REQUIRE(ctx.owner.emplace(seq, stream).second,
+             "global seq already dispatched");
+  const rpc::DispatchMsg dispatch{rpc::kNilNode, 0, stream, seq, ep.epoch};
+  for (int k = 0; k < ctx.n_devices; ++k) {
+    post_tracked(ctx.transport, data_addr(k), dispatch, rpc::encode_dispatch,
+                 ctx.stats, ctx.rtx);
   }
-  const EpochPlan& ep = *resolved;
   obs::SpanScope span(obs::Cat::kScatter, seq, 0, ep.epoch);
   for (int i = 0; i < ep.plan.n_devices; ++i) {
     const auto& need = ep.plan.needs[0][static_cast<std::size_t>(i)];
     if (need.empty()) continue;
-    if (ctx.mode == DataPlaneMode::kOverlapZeroCopy) {
-      // The scatter rows encode straight out of the caller's input tensor;
-      // no sliced temporary, and the frame buffer is recycled per image.
-      post_rows(ctx.transport, data_addr(i), rpc::MsgType::kScatter, stream,
-                seq, 0, ep.epoch, input, 0, need, ctx.arena, ctx.stats,
-                ctx.rtx, /*sender=*/nullptr);
-      continue;
-    }
-    ctx.stats.bytes_copied.fetch_add(  // the sliced temporary
-        static_cast<Bytes>(need.size()) * input.w * input.c * 4,
-        std::memory_order_relaxed);
-    post_chunk(ctx.transport, data_addr(i),
-               rpc::ChunkMsg{rpc::MsgType::kScatter, seq, 0, need.begin,
-                             rpc::kNilNode, 0, ep.epoch, stream,
-                             slice_rows(input, 0, need.begin, need.end)},
-               ctx.stats, ctx.rtx);
+    // The scatter rows encode straight out of the caller's input tensor;
+    // no sliced temporary, and the frame buffer is recycled per image.
+    post_rows(ctx.transport, data_addr(i), rpc::MsgType::kScatter, stream,
+              seq, 0, ep.epoch, input, 0, need, ctx.arena, ctx.stats, ctx.rtx,
+              /*sender=*/nullptr);
   }
 }
 
@@ -1387,15 +1036,11 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
 
   const cnn::RowInterval bounds{0, output.h};
   // The requester knows every epoch (it creates them), so a gather chunk's
-  // tag must match the epoch serving its image exactly — and, in
-  // multi-tenant mode, its stream tag must match the image's dispatched
-  // owner (owner records exist exactly for the dispatched-not-yet-retired
-  // window, so their lanes always cover the seq).
+  // tag must match the epoch serving its image exactly, and its stream tag
+  // must match the image's dispatched owner (owner records exist exactly
+  // for the dispatched-not-yet-retired window, so their lanes always cover
+  // the seq).
   const auto epoch_ok = [&ctx](const rpc::ChunkView& v) {
-    if (!ctx.multi) {
-      return v.epoch <= ctx.epochs.latest() &&
-             ctx.epochs.at(v.seq).epoch == v.epoch;
-    }
     const auto o = ctx.owner.find(v.seq);
     if (o == ctx.owner.end() || o->second != v.stream) return false;
     const auto l = ctx.lanes.find(v.stream);
@@ -1415,15 +1060,13 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
       if (!chunk_fits(chunk.view, bounds, output.w, output.c)) {
         return GatherStatus::kFailed;
       }
-      blit_chunk(chunk, output, 0, ctx.mode, ctx.stats);
+      blit_chunk(chunk, output, 0, ctx.stats);
       remaining_rows -= chunk.view.h;
     }
     ctx.stash.erase(it);
   }
   RxState rx{ctx.transport, ctx.reliability, ctx.stats, ctx.dedup};
-  const EpochPlan& ep = ctx.multi
-                            ? ctx.lanes.at(ctx.owner.at(seq)).at(seq)
-                            : ctx.epochs.at(seq);
+  const EpochPlan& ep = ctx.lanes.at(ctx.owner.at(seq)).at(seq);
   obs::SpanScope span(obs::Cat::kGather, seq, -1, ep.epoch);
   int timeout_rounds = 0;
   while (remaining_rows > 0) {
@@ -1433,10 +1076,10 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
       case RxKind::kStop:
         return GatherStatus::kFailed;
       case RxKind::kSkip:
-      case RxKind::kReconfig:    // unreachable: requester sends these
-      case RxKind::kDispatch:    // unreachable: dispatch ptr not passed
-      case RxKind::kMembership:  // unreachable: requester sends these
-      case RxKind::kLaneEvict:   // unreachable: lane-evict ptr not passed
+      case RxKind::kReconfig:    // unreachable: announcement ptrs not passed
+      case RxKind::kDispatch:
+      case RxKind::kMembership:
+      case RxKind::kLaneEvict:
         continue;
       case RxKind::kTimeout:
         ctx.stats.recv_timeouts.fetch_add(1, std::memory_order_relaxed);
@@ -1473,7 +1116,7 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
     if (!chunk_fits(v, bounds, output.w, output.c)) {
       return GatherStatus::kFailed;
     }
-    blit_chunk(chunk, output, 0, ctx.mode, ctx.stats);
+    blit_chunk(chunk, output, 0, ctx.stats);
     remaining_rows -= v.h;
   }
   return GatherStatus::kOk;

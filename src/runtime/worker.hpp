@@ -3,34 +3,34 @@
 // requester's scatter/gather halves. All chunk traffic is wire-encoded, so
 // the same loops run unchanged over shared memory or TCP.
 //
-// Two data-plane variants share these loops (DataPlaneMode):
-//  * kOverlapZeroCopy (default) — chunks are encoded straight out of the
-//    source tensor into arena-recycled frames and blitted straight out of
-//    the received frame bytes (<= 2 userspace copies per halo byte), and
-//    each part computes under the halo-first band schedule: boundary rows
-//    first, halos posted from a dedicated sender thread while the interior
-//    still computes, final-volume output streamed to the requester band by
-//    band.
-//  * kSerialCopy — the PR-3 path (whole-part compute, slice/encode/decode/
-//    blit copies, sends from the compute thread), kept as the in-run A/B
-//    baseline for bench/runtime_stream and the bit-exactness conformance
-//    tests. Both variants produce bit-identical outputs: bands are row
-//    partitions of the same plan and the engine is order-exact per pixel.
+// There is one provider loop and one chunk path. Chunks are encoded
+// straight out of the source tensor into arena-recycled frames and blitted
+// straight out of the received frame bytes (<= 2 userspace copies per halo
+// byte), and each part computes under the halo-first band schedule:
+// boundary rows first, halos posted from a dedicated sender thread while
+// the interior still computes, final-volume output streamed to the
+// requester band by band. Bands are row partitions of the plan and the
+// engine is order-exact per pixel, so every output is bit-identical to the
+// single-device reference.
 //
-// With ReliabilityOptions::enabled the loops speak the wire-v2 reliability
+// With ReliabilityOptions::enabled the loops speak the wire reliability
 // protocol (DESIGN.md §fault-model): every chunk is tracked by a
 // Retransmitter until acked, receivers dedup and ack, data waits are
 // bounded by recv_timeout_ms with nack rounds in between, and a starved
 // wait fails loudly after max_recv_timeouts rounds instead of hanging.
 //
-// Both loops are *epoch-aware* (DESIGN.md §control-plane): the strategy a
-// stream starts with is only epoch 0. A kReconfigure frame announces
-// "epoch E serves images from_seq onward"; every chunk carries its image's
-// epoch tag, a provider that meets a tag it does not know yet parks the
-// chunk and waits for the announcement (it is already in flight on the same
-// mailbox), and images of the old epoch complete under the old plan while
-// the new epoch's images are already being scattered — a live, drain-free,
-// bit-exact cutover.
+// The loop is stream- and epoch-aware (DESIGN.md §control-plane,
+// §serving-front-door): each client stream has its own epoch lane, opened
+// by the stream's first kReconfigure ("epoch E serves images from global
+// seq from_seq onward") and extended by later ones at image boundaries. A
+// kDispatch frame binds each global seq to its stream and epoch before the
+// image's scatter. Every chunk carries its image's epoch tag; a provider
+// that meets a tag it does not know yet parks the chunk and waits for the
+// announcement (it is already in flight on the same mailbox), and images of
+// the old epoch complete under the old plan while the new epoch's images
+// are already being scattered — a live, drain-free, bit-exact cutover. A
+// single-tenant stream (serve_stream) and a finite run (run_distributed)
+// are one lane on this loop.
 #pragma once
 
 #include <functional>
@@ -49,12 +49,6 @@
 
 namespace de::runtime {
 
-/// Which chunk path the workers run (see file header).
-enum class DataPlaneMode {
-  kSerialCopy,      ///< PR-3 baseline: barrier schedule, copying chunk path
-  kOverlapZeroCopy, ///< halo-first bands + zero-copy frames (default)
-};
-
 /// A received chunk: the owning frame plus the validated borrowed view into
 /// it (frame buffers are address-stable, so the pair may be moved/stashed).
 struct RxChunk {
@@ -72,20 +66,6 @@ inline rpc::Address ctrl_addr(rpc::NodeId node) {
   return rpc::Address{node, rpc::kCtrlMailbox};
 }
 
-/// Encodes and posts a chunk, updating `stats`. With `rtx` set the chunk is
-/// stamped (from_node, chunk_id) and tracked for retransmission until acked.
-void post_chunk(rpc::Transport& transport, const rpc::Address& to,
-                rpc::ChunkMsg msg, DataPlaneStats& stats,
-                Retransmitter* rtx = nullptr);
-
-/// Encodes and posts an epoch announcement, updating `stats`. With `rtx`
-/// set the frame is stamped and tracked exactly like a tensor chunk (the
-/// receiver acks it on the same path), so a reconfigure survives the same
-/// faults the data it gates does.
-void post_reconfigure(rpc::Transport& transport, const rpc::Address& to,
-                      rpc::ReconfigureMsg msg, DataPlaneStats& stats,
-                      Retransmitter* rtx = nullptr);
-
 /// Control-plane publishing knobs of one provider (all off by default).
 struct TelemetryHooks {
   /// Per-link achieved-rate source (the node's ShapedTransport decorator);
@@ -96,7 +76,7 @@ struct TelemetryHooks {
   int every_images = 0;
   /// This node's clock origin (process-steady micros at node creation).
   /// Telemetry reports carry `obs::now_us() - clock_origin_us` as the
-  /// node-local steady clock (wire v4), feeding the trace-merge clock-offset
+  /// node-local steady clock, feeding the trace-merge clock-offset
   /// estimation (src/obs/trace_export.hpp).
   std::int64_t clock_origin_us = 0;
   /// Publish a kHeartbeat lease renewal to `heartbeat_to`'s telemetry
@@ -104,65 +84,41 @@ struct TelemetryHooks {
   /// small dedicated thread so they keep flowing while the loop blocks in a
   /// receive or a long compute — a busy node is not a dead node.
   int heartbeat_ms = 0;
-  /// Destination of the heartbeats (the collector node). kNilNode on the
-  /// single-tenant loop means "derive from the plan's requester node"; the
-  /// multi-tenant loop has no plan of its own, so it must be set explicitly
-  /// whenever heartbeat_ms > 0.
+  /// Destination of the heartbeats (the collector node). The loop has no
+  /// plan of its own to derive it from, so it must be set whenever
+  /// heartbeat_ms > 0.
   rpc::NodeId heartbeat_to = rpc::kNilNode;
 };
 
-/// Provider event loop for device `i`: executes its split-parts image after
-/// image, pulling inputs from the data mailbox and pushing halos/gathers.
-/// Processes exactly `n_images` images when n_images >= 0; with
-/// n_images < 0 it serves until a kShutdown frame arrives or the transport
-/// shuts down. Malformed frames are dropped. With reliability enabled the
-/// provider owns a Retransmitter and, after a finite run, drains its outbox
-/// (bounded by the attempt budget) before returning, so late acks/losses on
-/// its last chunks are still recovered. In kOverlapZeroCopy mode the
-/// provider additionally owns a frame arena, a ChunkSender thread, and the
-/// per-volume halo-first schedules (built once per epoch).
-///
-/// `strategy`/`plan` seed epoch 0; kReconfigure frames append later epochs
-/// at image boundaries. A device idle under the current epoch keeps
-/// listening (a later epoch may activate it) instead of returning. `exec`
-/// defaults to the fast engine on the shared pool, as RunOptions and
-/// ServeOptions do; pass cnn::ExecContext::reference() for the scalar path.
-void provider_loop(rpc::Transport& transport, int i, const cnn::CnnModel& model,
-                   const sim::RawStrategy& strategy,
-                   const std::vector<cnn::ConvWeights>& weights,
-                   const TransferPlan& plan, int n_images,
-                   DataPlaneStats& stats,
-                   const ReliabilityOptions& reliability = {},
-                   const cnn::ExecContext& exec =
-                       cnn::ExecContext::fast_shared(),
-                   DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
-                   const TelemetryHooks& telemetry = {});
-
-/// One model a multi-tenant provider can serve (not owned; must outlive the
-/// provider threads). A reconfigure's `model_id` indexes this registry.
+/// One model a provider can serve (not owned; must outlive the provider
+/// threads). A reconfigure's `model_id` indexes this registry.
 struct TenantModel {
   const cnn::CnnModel* model = nullptr;
   const std::vector<cnn::ConvWeights>* weights = nullptr;
 };
 
-/// Multi-tenant provider event loop (DESIGN.md §serving-front-door): serves
-/// any number of concurrent client streams, each with its own epoch lane.
-/// The loop starts with no lanes at all — a kReconfigure tagged with a
+/// Provider event loop for device `i` (DESIGN.md §serving-front-door):
+/// serves any number of concurrent client streams, each with its own epoch
+/// lane. The loop starts with no lanes at all — a kReconfigure tagged with a
 /// (stream, model_id) pair creates the lane against `fleet[model_id]` — and
 /// processes images in *global* fleet sequence order: a kDispatch frame
-/// announces which stream owns each global seq (sent by the front door
+/// announces which stream owns each global seq (sent by the requester
 /// before that image's scatter), the provider resolves the owner's lane and
-/// runs the image under it, and chunks of later seqs stash exactly like the
-/// single-tenant loop. Always streaming: runs until kShutdown or transport
-/// close. Weight packing is cached per tenant model, so interleaved streams
-/// of different models pay the packing cost once each, not per image.
+/// runs the image under it, and chunks of later seqs stash until their
+/// turn. A device idle under an image's plan skips it on the dispatch
+/// record alone. Runs until kShutdown or transport close; malformed frames
+/// are dropped. The provider owns a frame arena, a ChunkSender thread, the
+/// per-volume halo-first schedules (built once per epoch) and, with
+/// reliability enabled, a Retransmitter. Weight packing is cached per
+/// tenant model, so interleaved streams of different models pay the packing
+/// cost once each, not per image. `exec` defaults to the fast engine on the
+/// shared pool; pass cnn::ExecContext::reference() for the scalar path.
 void provider_loop_multi(rpc::Transport& transport, int i,
                          std::span<const TenantModel> fleet,
                          DataPlaneStats& stats,
                          const ReliabilityOptions& reliability = {},
                          const cnn::ExecContext& exec =
                              cnn::ExecContext::fast_shared(),
-                         DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
                          const TelemetryHooks& telemetry = {});
 
 /// Per-image reliability events observed by the requester while gathering.
@@ -172,56 +128,36 @@ struct ImageRetryStats {
   std::int64_t recv_timeouts = 0;
 };
 
-/// Requester-side state reused across the images of one run or stream. The
-/// plan passed at construction seeds epoch 0; push_epoch() appends later
-/// regimes (and announces them to every provider). The multi-tenant
-/// constructor instead starts with no epoch lanes at all — the front door
-/// opens one per admitted stream with push_stream_epoch(), and every global
-/// fleet seq is bound to its owning stream by dispatch_image() before that
-/// image's scatter.
+/// Requester-side state reused across the images of one run or stream,
+/// over `n_devices` shared providers. It starts with no epoch lanes: the
+/// owner opens one per stream with push_stream_epoch(), and scatter_image()
+/// binds every global fleet seq to its owning stream.
 struct RequesterContext {
-  RequesterContext(rpc::Transport& transport_, const TransferPlan& plan_,
-                   DataPlaneStats& stats_, ReliabilityOptions reliability_ = {},
-                   DataPlaneMode mode_ = DataPlaneMode::kOverlapZeroCopy)
-      : transport(transport_),
-        epochs(EpochPlan{0, 0, {}, plan_}),
-        stats(stats_),
-        reliability(reliability_), mode(mode_),
-        n_devices(plan_.n_devices) {}
-
-  /// Multi-tenant front-door context over `n_devices_` shared providers.
-  /// The legacy single-lane `epochs` table is unused in this mode.
   RequesterContext(rpc::Transport& transport_, int n_devices_,
-                   DataPlaneStats& stats_, ReliabilityOptions reliability_ = {},
-                   DataPlaneMode mode_ = DataPlaneMode::kOverlapZeroCopy)
+                   DataPlaneStats& stats_, ReliabilityOptions reliability_ = {})
       : transport(transport_),
-        epochs(EpochPlan{}),
         stats(stats_),
-        reliability(reliability_), mode(mode_),
-        multi(true), n_devices(n_devices_) {}
+        reliability(reliability_),
+        n_devices(n_devices_) {}
 
   rpc::Transport& transport;
-  EpochTable epochs;
   DataPlaneStats& stats;
   ReliabilityOptions reliability;
-  DataPlaneMode mode;
-  bool multi = false;    ///< multi-tenant mode: lanes/owner, not `epochs`
   int n_devices = 0;
   Retransmitter* rtx = nullptr;  ///< set by the run owner when reliable
   ChunkDedup dedup;
   /// Scatter frames are encoded straight from the input tensor into these
-  /// recycled buffers (kOverlapZeroCopy).
+  /// recycled buffers.
   rpc::FrameArena arena;
   /// Gather chunks of images not yet collected, keyed by seq.
   std::map<int, std::vector<RxChunk>> stash;
-  /// Multi-tenant mode: one epoch lane per admitted stream, and the global
-  /// seq -> owning stream binding established by dispatch_image().
+  /// One epoch lane per stream, and the global seq -> owning stream binding
+  /// established by scatter_image().
   std::map<int, EpochTable> lanes;
   std::map<int, int> owner;
   /// Epoch ids are allocated globally across lanes, so each lane's history
-  /// stays id-monotone and two lanes never share an id. Starts at 1: epoch
-  /// 0 is the legacy implicit seed and the wire codec rejects it in a
-  /// kReconfigure announcement.
+  /// stays id-monotone and two lanes never share an id. Starts at 1: the
+  /// wire codec rejects epoch 0 in a kReconfigure announcement.
   int next_epoch = 1;
   /// Images below this global seq were voided by a membership change (their
   /// inputs re-dispatched under fresh seqs): their late gather chunks are
@@ -234,35 +170,22 @@ struct RequesterContext {
   std::function<bool()> interrupt;
 };
 
-/// Live strategy swap: registers `strategy` as the next epoch, effective
-/// from image `from_seq` (which must not have been scattered yet), and
-/// posts the kReconfigure announcement to every provider — *before* any
-/// epoch-tagged traffic of the new regime, so per-sender FIFO (or, under
-/// faults, retransmission + the receivers' park-unknown-epochs rule) makes
-/// the cutover race-free. Returns the new epoch id.
-int push_epoch(RequesterContext& ctx, const cnn::CnnModel& model,
-               const sim::RawStrategy& strategy, int from_seq);
-
-/// Multi-tenant half of push_epoch: registers `strategy` as stream
-/// `stream`'s next epoch (creating the stream's lane on first call) and
-/// announces it to every provider tagged with (stream, model_id), so
-/// providers bind the lane to `fleet[model_id]`. `from_seq` is the *global*
-/// fleet seq the epoch takes effect at — it must not have been dispatched
-/// yet. Swapping one stream never touches any other stream's lane. Returns
-/// the new (globally allocated) epoch id.
+/// Registers `strategy` as stream `stream`'s next epoch (creating the
+/// stream's lane on first call) and announces it to every provider — the
+/// idle ones too, since an epoch may activate a device the previous one
+/// never used — tagged with (stream, model_id), so providers bind the lane
+/// to `fleet[model_id]`. The announcement goes out *before* any traffic of
+/// the new regime, so per-sender FIFO (or, under faults, retransmission +
+/// the receivers' park-unknown-epochs rule) makes the cutover race-free.
+/// `from_seq` is the *global* fleet seq the epoch takes effect at — it must
+/// not have been scattered yet. Swapping one stream never touches any other
+/// stream's lane. Returns the new (globally allocated) epoch id.
 int push_stream_epoch(RequesterContext& ctx, int stream, int model_id,
                       const cnn::CnnModel& model,
                       const sim::RawStrategy& strategy, int from_seq);
 
-/// Multi-tenant: binds global fleet seq `seq` to `stream` and broadcasts
-/// the kDispatch announcement to every provider. Must precede the image's
-/// scatter_image call (per-sender FIFO, or tracked retransmission under
-/// faults, then guarantees providers learn the owner before they need it).
-void dispatch_image(RequesterContext& ctx, int stream, int seq);
-
-/// Drops history no ungathered image references: the epoch table (each
-/// lane's, in multi mode) and the seq->stream dispatch records below
-/// `watermark`.
+/// Drops history no ungathered image references: each lane's superseded
+/// epochs and the seq->stream dispatch records below `watermark`.
 void retire_below(RequesterContext& ctx, int watermark);
 
 /// Announces a membership change to provider `to`, tracked for
@@ -275,8 +198,8 @@ void post_membership(RequesterContext& ctx, rpc::NodeId to,
                      rpc::MembershipMsg msg);
 
 /// Announces that stream `msg.stream` is closed and drained below
-/// `msg.below_seq`: multi-tenant providers evict the stream's epoch lane
-/// once their cursor passes the watermark. Tracked like a reconfigure.
+/// `msg.below_seq`: providers evict the stream's epoch lane once their
+/// cursor passes the watermark. Tracked like a reconfigure.
 void post_lane_evict(RequesterContext& ctx, rpc::NodeId to,
                      rpc::LaneEvictMsg msg);
 
@@ -289,9 +212,14 @@ void post_lane_evict(RequesterContext& ctx, rpc::NodeId to,
 std::size_t apply_membership_local(RequesterContext& ctx,
                                    const rpc::MembershipMsg& msg);
 
-/// Requester half: scatters image `seq`'s volume-0 inputs to the providers
-/// under the epoch serving `seq`.
-void scatter_image(RequesterContext& ctx, int seq, const cnn::Tensor& input);
+/// Requester half: binds global fleet seq `seq` to `stream` and broadcasts
+/// the kDispatch announcement to every provider, then scatters the image's
+/// volume-0 inputs under the stream's epoch serving `seq`. The dispatch
+/// precedes the scatter on every link, so per-sender FIFO (or tracked
+/// retransmission under faults) lets providers learn the owner before they
+/// need it.
+void scatter_image(RequesterContext& ctx, int stream, int seq,
+                   const cnn::Tensor& input);
 
 /// How a gather ended (see gather_image).
 enum class GatherStatus {
@@ -302,15 +230,15 @@ enum class GatherStatus {
 
 /// Requester half: collects the holders' kGather chunks of image `seq` into
 /// `output` (sized from `model`). Completion is counted by output-row
-/// coverage, so one whole-part chunk per holder (serial mode) and streamed
-/// gather bands (overlap mode) both finish exactly when every row arrived.
-/// Chunks of other images park in the context's stash; chunks of images
-/// below ctx.cancel_below are dropped (late output of a voided image).
-/// Returns kFailed if the transport shut down mid-gather, a peer sent
-/// plan-mismatched chunks, or (reliable mode) the gather starved past the
-/// timeout budget; kInterrupted when ctx.interrupt() reports pending
-/// membership work (the image stays gatherable — call again or cancel it).
-/// `retry`, when given, receives this image's timeout/nack counts.
+/// coverage, so the gather finishes exactly when every row arrived however
+/// many bands the holders cut their parts into. Chunks of other images park
+/// in the context's stash; chunks of images below ctx.cancel_below are
+/// dropped (late output of a voided image). Returns kFailed if the
+/// transport shut down mid-gather, a peer sent plan-mismatched chunks, or
+/// (reliable mode) the gather starved past the timeout budget; kInterrupted
+/// when ctx.interrupt() reports pending membership work (the image stays
+/// gatherable — call again or cancel it). `retry`, when given, receives
+/// this image's timeout/nack counts.
 GatherStatus gather_image(RequesterContext& ctx, int seq,
                           const cnn::CnnModel& model, cnn::Tensor& output,
                           ImageRetryStats* retry = nullptr);

@@ -344,7 +344,7 @@ void StreamServer::prepare_lane(runtime::RequesterContext& ctx, int id,
 void StreamServer::pump() {
   obs::bind_thread("serve-door", n_devices_);
   runtime::RequesterContext ctx(door_, n_devices_, stats_,
-                                options_.reliability, options_.mode);
+                                options_.reliability);
   std::unique_ptr<runtime::Retransmitter> rtx;
   if (options_.reliability.enabled) {
     rtx = std::make_unique<runtime::Retransmitter>(door_, options_.reliability,
@@ -580,8 +580,7 @@ void StreamServer::pump() {
       if (!batch.empty()) cv_client_.notify_all();  // queue room freed
       for (auto& job : batch) {
         prepare_lane(ctx, job.stream, next_seq);
-        runtime::dispatch_image(ctx, job.stream, next_seq);
-        runtime::scatter_image(ctx, next_seq, job.input);
+        runtime::scatter_image(ctx, job.stream, next_seq, job.input);
         inflight.push_back(InFlight{job.stream, job.model_id, next_seq,
                                     std::move(job.input), job.t0});
         ++next_seq;

@@ -74,7 +74,6 @@ struct StreamServerOptions {
   int max_streams = 16;    ///< admission cap on concurrently open streams
   int default_window = 4;  ///< per-stream in-flight window when hello says 0
   runtime::ReliabilityOptions reliability;
-  runtime::DataPlaneMode mode = runtime::DataPlaneMode::kOverlapZeroCopy;
   /// Live ops plane (not owned; may be null). When set, the door registers
   /// /metrics (front-door registry: data-plane totals + queue-depth
   /// gauges), /healthz (503 once the pump failed), /membership (first

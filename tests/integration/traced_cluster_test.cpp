@@ -4,8 +4,8 @@
 // requester gather on matching (image, epoch) correlation ids, (b) a
 // Perfetto-loadable Chrome trace JSON of that timeline, and (c) a metrics
 // snapshot whose canonical names agree between the streaming and
-// finite-run entry points and between both data-plane modes — all while
-// the gathered outputs stay bit-exact against the reference forward.
+// finite-run entry points — all while the gathered outputs stay bit-exact
+// against the reference forward.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -89,13 +89,14 @@ TEST(TracedCluster, MergedTimelineChainsOneImageAcrossNodes) {
 
   // Pick image 0 and follow it across the timeline: the requester's
   // scatter and gather spans plus provider-side work spans on the same
-  // (image, epoch) ids.
+  // (image, epoch) ids. The stream's initial strategy is epoch 1 (epoch 0
+  // is never announced on the wire).
   bool saw_scatter = false;
   bool saw_gather = false;
   std::set<int> provider_nodes_with_work;
   for (const auto& me : merged.events) {
     const auto& ev = me.event;
-    if (ev.seq != 0 || ev.epoch != 0) continue;
+    if (ev.seq != 0 || ev.epoch != 1) continue;
     const auto& thread =
         merged.threads[static_cast<std::size_t>(me.thread_index)];
     const auto cat = static_cast<obs::Cat>(ev.cat);
@@ -140,7 +141,7 @@ TEST(TracedCluster, MergedTimelineChainsOneImageAcrossNodes) {
   EXPECT_FALSE(totals.empty());
 }
 
-TEST(TracedCluster, MetricNamesAgreeAcrossEntryPointsAndModes) {
+TEST(TracedCluster, MetricNamesAgreeAcrossEntryPoints) {
   const auto model = mini();
   constexpr int kDevices = 2;
   Rng rng(11);
@@ -148,14 +149,10 @@ TEST(TracedCluster, MetricNamesAgreeAcrossEntryPointsAndModes) {
   const auto strategy = even_strategy(model, kDevices);
   const auto inputs = random_inputs(model, 3, rng);
 
-  // Streaming, both data-plane modes.
+  // Streaming.
   ServeOptions overlap;
   const auto served_overlap =
       serve_stream(model, strategy, weights, inputs, kDevices, overlap);
-  ServeOptions serial;
-  serial.data_plane = DataPlaneMode::kSerialCopy;
-  const auto served_serial =
-      serve_stream(model, strategy, weights, inputs, kDevices, serial);
   // Finite single-image run.
   const auto once =
       run_distributed(model, strategy, weights, inputs[0], kDevices);
@@ -168,12 +165,10 @@ TEST(TracedCluster, MetricNamesAgreeAcrossEntryPointsAndModes) {
   };
   for (const auto& name : canonical) {
     EXPECT_NE(served_overlap.metrics.find(name), nullptr) << name;
-    EXPECT_NE(served_serial.metrics.find(name), nullptr) << name;
     EXPECT_NE(once.metrics.find(name), nullptr) << name;
   }
-  // Streaming extras exist on both modes.
+  // Streaming extras exist.
   EXPECT_NE(served_overlap.metrics.find(kMetricGatherLatencyUs), nullptr);
-  EXPECT_NE(served_serial.metrics.find(kMetricGatherLatencyUs), nullptr);
   EXPECT_EQ(served_overlap.metrics.counter(kMetricStreamImages), 3);
 
   // The compatibility scalars are views into the snapshot, not a second

@@ -1,8 +1,8 @@
 // Critical-path attribution: synthetic-trace unit checks (partition
 // exactness, critical-device election, straggler scores) and the
-// acceptance gate — on a real serial-data-plane stream with in-flight
-// window 1, the per-image component sums must land within 5% of measured
-// end-to-end latency.
+// acceptance gate — on a real stream with in-flight window 1, the
+// per-image component sums must land within 5% of measured end-to-end
+// latency.
 #include "obs/attribution.hpp"
 
 #include <gtest/gtest.h>
@@ -147,10 +147,10 @@ TEST(Attribution, RedispatchKeepsFirstScatterAsWindowStart) {
   EXPECT_EQ(report.images[0].e2e_us, 600);
 }
 
-// Acceptance gate: real stream, serial data plane, in-flight window 1 —
-// per-image attributed components (including the honest unattributed
-// residue) must sum to exactly e2e, and the residue itself must stay
-// within 5% of measured end-to-end latency.
+// Acceptance gate: real stream, in-flight window 1 — per-image attributed
+// components (including the honest unattributed residue) must sum to
+// exactly e2e, and the residue itself must stay within 5% of measured
+// end-to-end latency.
 TEST(Attribution, ServeStreamBreakdownSumsWithinFivePercent) {
   // Big enough that every image's per-device compute is safely above the
   // microsecond trace resolution (a 24x24 toy can round to 0 us bands).
@@ -178,7 +178,6 @@ TEST(Attribution, ServeStreamBreakdownSumsWithinFivePercent) {
 
   runtime::ServeOptions options;
   options.inflight = 1;  // one image at a time: no queuing gaps in e2e
-  options.data_plane = runtime::DataPlaneMode::kSerialCopy;
   obs::TraceCapture capture;
   options.trace = &capture;
   obs::TraceRecorder::instance().enable({});

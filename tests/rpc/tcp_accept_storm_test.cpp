@@ -202,7 +202,7 @@ TEST(TcpAcceptStorm, ReapsRxSessionsOnPeerDisconnect) {
 TEST(TcpAcceptStorm, BacklogIsConfigurable) {
   // The old hardcoded listen(fd, 64) is now kDefaultBacklog with an
   // explicit knob; a tiny backlog still serves sequential clients.
-  TcpTransport server(0, /*port=*/0, /*legacy_io=*/false, /*backlog=*/4);
+  TcpTransport server(0, /*port=*/0, /*backlog=*/4);
   server.open_mailbox(0);
   for (int k = 0; k < 6; ++k) {
     TcpTransport client(1 + k);

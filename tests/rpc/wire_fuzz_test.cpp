@@ -255,7 +255,7 @@ TEST(WireFuzz, HostileControlPlaneCountsRejectedBeforeAllocation) {
       w.f32(1.0f);                               // window_s
       w.f32(1.0f);                               // compute_ms
       w.i32(1);                                  // images
-      w.i64(0);                                  // steady_now_us (v4)
+      w.i64(0);                                  // steady_now_us
       w.i32(rng.uniform_int(1 << 20, 1 << 30));  // hostile n_links
       w.f32(0.0f);                               // a few stray bytes
       EXPECT_THROW(decode_telemetry(w.bytes()), Error);
@@ -269,8 +269,8 @@ TEST(WireFuzz, HostileControlPlaneCountsRejectedBeforeAllocation) {
       w.u32(0);                                  // chunk_id
       w.i32(1);                                  // epoch
       w.i32(0);                                  // from_seq
-      w.i32(0);                                  // stream (v5)
-      w.i32(0);                                  // model_id (v5)
+      w.i32(0);                                  // stream
+      w.i32(0);                                  // model_id
       w.i32(rng.uniform_int(1 << 10, 1 << 16));  // hostile n_devices
       w.i32(rng.uniform_int(1 << 10, 1 << 16));  // hostile n_volumes
       w.i32(0);
@@ -286,8 +286,8 @@ TEST(WireFuzz, HostileControlPlaneCountsRejectedBeforeAllocation) {
   w.u32(0);
   w.i32(1);
   w.i32(0);
-  w.i32(0);  // stream (v5)
-  w.i32(0);  // model_id (v5)
+  w.i32(0);  // stream
+  w.i32(0);  // model_id
   w.i32((1 << 16) + 1);  // n_devices over the cap
   w.i32(1);
   EXPECT_THROW(decode_reconfigure(w.bytes()), Error);

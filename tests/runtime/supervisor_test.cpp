@@ -120,5 +120,31 @@ TEST(Supervisor, ManyThreadsIndependentBudgets) {
   EXPECT_EQ(stats.escalations, 1);
 }
 
+TEST(Supervisor, KeepsTheFirstEscalationReason) {
+  // The owner learns why the fleet went down: the first escalating
+  // failure's message, tagged with its thread, survives in the stats.
+  // Restarted failures do not count, and a later escalation does not
+  // overwrite the first.
+  Supervisor::Options options;
+  options.max_restarts = 1;
+  std::atomic<int> escalations{0};
+  options.escalate = [&] { ++escalations; };
+  Supervisor supervisor(options);
+  EXPECT_TRUE(supervisor.stats().first_escalation.empty());
+
+  std::atomic<int> runs{0};
+  supervisor.spawn("provider-1", 1, [&] {
+    if (++runs == 1) throw std::runtime_error("transient");
+    throw std::runtime_error("chunk geometry disagrees");
+  });
+  supervisor.join_all();
+  supervisor.spawn("provider-2", 2, [] { throw 42; });
+  supervisor.join_all();
+
+  EXPECT_EQ(escalations.load(), 2);
+  EXPECT_EQ(supervisor.stats().first_escalation,
+            "provider-1: chunk geometry disagrees");
+}
+
 }  // namespace
 }  // namespace de::runtime

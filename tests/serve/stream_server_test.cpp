@@ -122,9 +122,8 @@ struct Harness {
              TenantSpec{&mb, &wb, equal_strategy(mb, {0, 3}, n_devices)}};
     providers = runtime::spawn_providers_multi(
         fabric, n_devices, fleet_models, stats, options.reliability,
-        cnn::ExecContext::fast_shared(),
-        runtime::DataPlaneMode::kOverlapZeroCopy, telemetry_every,
-        heartbeat_ms, max_restarts);
+        cnn::ExecContext::fast_shared(), telemetry_every, heartbeat_ms,
+        max_restarts);
     server = std::make_unique<StreamServer>(fabric.requester(), n_devices,
                                             fleet, stats, options);
   }
