@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
     config.model = &model;
     config.latency = latency;
     config.network = baseline_net;
-    config.poll_ms = 2;
     config.lease_ms = 80;
     config.drift_threshold = 1e9;  // membership decisions only
     ctrl::Controller controller(config);

@@ -2,8 +2,8 @@
 // pipelined stream served over a clean fabric and over a fabric that drops,
 // duplicates, delays/reorders frames and suffers a mid-stream partition —
 // with every output still bit-identical to the single-device reference.
-// Prints the reliability layer's work (retransmits, dedup, nack rounds) and
-// the per-image retry stats, next to the simulator-mirrored IPS prediction.
+// Prints the reliability layer's work (retransmits, dedup, nack rounds)
+// next to the simulator-mirrored IPS prediction.
 //
 //   $ ./example_flaky_cluster_demo [n_images] [drop_prob]
 #include <algorithm>
@@ -117,12 +117,6 @@ int main(int argc, char** argv) {
             << "  sim mirror:  " << std::setprecision(1)
             << degraded.predicted_ips << " img/s predicted for the modelled "
             << "cluster under the same loss model\n";
-
-  std::cout << "  per-image timeouts:";
-  for (const auto& image : degraded.per_image) {
-    std::cout << ' ' << image.recv_timeouts;
-  }
-  std::cout << '\n';
 
   return verify(baseline) && verify(degraded) ? 0 : 1;
 }

@@ -106,7 +106,9 @@ int main(int argc, char** argv) {
     serve::StreamServerOptions server_options;
     server_options.admin = admin.get();
     server_options.slo_ms = 500;
-    server_options.node_origins = &fabric.node_origin_us;
+    obs::TraceCapture trace;  // origins for /trace/dump
+    trace.node_origin_us = fabric.node_origin_us;
+    server_options.trace = &trace;
     serve::StreamServer server(fabric.requester(), n_devices, fleet, stats,
                                server_options);
 
@@ -150,8 +152,8 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < models.size(); ++s) {
       const auto snap = server.snapshot(ids[s]);
       std::cout << "stream " << ids[s] << " (tenant " << (models[s] == 0 ? "A" : "B")
-                << "): " << snap.delivered << " images, " << snap.epochs_pushed
-                << " epoch(s), "
+                << "): " << snap.delivered << " images, "
+                << snap.reconfigurations.size() << " swap(s), "
                 << (exact[s] ? "bit-exact vs reference" : "MISMATCH") << "\n";
     }
     if (with_admin && hold_ms > 0) {

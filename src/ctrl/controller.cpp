@@ -23,31 +23,9 @@ Controller::Controller(ControllerConfig config)
   DE_REQUIRE(config_.drift_threshold > 0, "drift threshold must be positive");
 }
 
-Controller::~Controller() { stop(); }
-
-void Controller::start(rpc::Transport& transport,
-                       const sim::RawStrategy& serving,
+void Controller::start(const sim::RawStrategy& serving,
                        rpc::LinkRateSampler* local_links) {
-  DE_REQUIRE(!thread_.joinable(), "controller already started");
-  transport_ = &transport;
   local_links_ = local_links;
-  serving_ = serving;
-  base_strategy_ = serving;
-  const int n = static_cast<int>(config_.latency.size());
-  dead_.assign(static_cast<std::size_t>(n), false);
-  baseline_rates_.assign(static_cast<std::size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i) {
-    baseline_rates_[static_cast<std::size_t>(i)] =
-        config_.network.device_rate(i, 0.0);
-  }
-  last_swap_ = std::chrono::steady_clock::now();
-  stop_.store(false);
-  thread_ = std::thread([this] { loop(); });
-}
-
-void Controller::start_external(const sim::RawStrategy& serving) {
-  DE_REQUIRE(!thread_.joinable() && !external_, "controller already started");
-  external_ = true;
   serving_ = serving;
   base_strategy_ = serving;
   const int n = static_cast<int>(config_.latency.size());
@@ -61,35 +39,14 @@ void Controller::start_external(const sim::RawStrategy& serving) {
 }
 
 void Controller::ingest(const rpc::TelemetryMsg& msg) {
-  DE_REQUIRE(external_, "ingest() requires start_external()");
-  if (config_.clock_sync != nullptr && msg.steady_now_us > 0) {
-    config_.clock_sync->ingest(msg.from_node, msg.steady_now_us,
-                               obs::now_us() - config_.clock_origin_us);
-  }
   obs::trace_instant(obs::Cat::kDriftSample, -1, -1, -1, msg.from_node);
   book_.ingest(msg);
-  {
-    std::lock_guard lk(mu_);
-    ++stats_.telemetry_frames;
-    stats_.device_mbps = book_.device_rates();
-  }
-  if (config_.lease_ms > 0) sweep_leases(obs::now_us());
-  try {
-    check_and_plan();
-  } catch (const std::exception&) {
-    // Same containment as the threaded loop: a planner failure on a
-    // degenerate view keeps the stream serving its current strategy.
-    std::lock_guard lk(mu_);
-    ++stats_.plan_failures;
-  }
+  std::lock_guard lk(mu_);
+  ++stats_.telemetry_frames;
 }
 
 void Controller::ingest_heartbeat(const rpc::HeartbeatMsg& msg,
                                   std::int64_t received_us) {
-  DE_REQUIRE(external_, "ingest_heartbeat() requires start_external()");
-  if (config_.clock_sync != nullptr && msg.steady_now_us > 0) {
-    config_.clock_sync->ingest(msg.from_node, msg.steady_now_us, received_us);
-  }
   if (book_.ingest_heartbeat(msg.from_node, msg.hb_seq, msg.steady_now_us,
                              received_us)) {
     std::lock_guard lk(mu_);
@@ -98,10 +55,32 @@ void Controller::ingest_heartbeat(const rpc::HeartbeatMsg& msg,
   if (config_.lease_ms > 0) sweep_leases(received_us);
 }
 
+void Controller::poll(std::int64_t now_us) {
+  if (config_.lease_ms > 0) sweep_leases(now_us);
+  if (local_links_ != nullptr) {
+    // The requester is node n_devices: its own links estimate their device
+    // ends (TelemetryBook::ingest_links).
+    book_.ingest_links(static_cast<rpc::NodeId>(book_.num_devices()),
+                       local_links_->sample_link_rates());
+  }
+  {
+    std::lock_guard lk(mu_);
+    stats_.device_mbps = book_.device_rates();
+  }
+  try {
+    check_and_plan();
+  } catch (const std::exception&) {
+    // A planner/simulator failure on a degenerate refreshed view keeps the
+    // stream serving its current strategy; the next poll retries.
+    std::lock_guard lk(mu_);
+    ++stats_.plan_failures;
+  }
+}
+
 void Controller::sweep_leases(std::int64_t now_us) {
   const auto events = book_.poll_membership(
       now_us, static_cast<std::int64_t>(config_.lease_ms) * 1000);
-  if (!events.empty()) handle_membership(events);
+  if (!events.empty()) handle_membership(events, now_us);
 }
 
 std::optional<SwapDecision> Controller::take_swap() {
@@ -119,11 +98,6 @@ bool Controller::membership_pending() const {
 bool Controller::death_pending() const {
   std::lock_guard lk(mu_);
   return pending_.has_value() && !pending_->died.empty();
-}
-
-void Controller::stop() {
-  stop_.store(true);
-  if (thread_.joinable()) thread_.join();
 }
 
 ControllerStats Controller::stats() const {
@@ -200,75 +174,8 @@ std::string membership_json(const Controller::MembershipView& view,
   return out;
 }
 
-void Controller::loop() {
-  obs::bind_thread("ctrl", transport_ != nullptr ? transport_->local_node()
-                                                 : -1);
-  while (!stop_.load()) {
-    rpc::Frame frame;
-    switch (transport_->receive_for(rpc::kTelemetryMailbox, config_.poll_ms,
-                                    frame)) {
-      case rpc::RecvStatus::kClosed:
-        return;  // fabric went down; the serving loop is tearing down too
-      case rpc::RecvStatus::kOk:
-        try {
-          if (rpc::peek_type(frame) == rpc::MsgType::kHeartbeat) {
-            const rpc::HeartbeatMsg hb = rpc::decode_heartbeat(frame);
-            const std::int64_t received_us =
-                obs::now_us() - config_.clock_origin_us;
-            if (config_.clock_sync != nullptr && hb.steady_now_us > 0) {
-              config_.clock_sync->ingest(hb.from_node, hb.steady_now_us,
-                                         received_us);
-            }
-            if (book_.ingest_heartbeat(hb.from_node, hb.hb_seq,
-                                       hb.steady_now_us, received_us)) {
-              std::lock_guard lk(mu_);
-              ++stats_.heartbeats;
-            }
-          } else {
-            const rpc::TelemetryMsg msg = rpc::decode_telemetry(frame);
-            if (config_.clock_sync != nullptr && msg.steady_now_us > 0) {
-              config_.clock_sync->ingest(
-                  msg.from_node, msg.steady_now_us,
-                  obs::now_us() - config_.clock_origin_us);
-            }
-            obs::trace_instant(obs::Cat::kDriftSample, -1, -1, -1,
-                               msg.from_node);
-            book_.ingest(msg);
-            std::lock_guard lk(mu_);
-            ++stats_.telemetry_frames;
-          }
-        } catch (const Error&) {
-          // Malformed control frame: ignore, like the data plane does.
-        }
-        break;
-      case rpc::RecvStatus::kTimeout:
-        break;
-    }
-    if (config_.lease_ms > 0) {
-      sweep_leases(obs::now_us() - config_.clock_origin_us);
-    }
-    if (local_links_ != nullptr) {
-      book_.ingest_links(transport_->local_node(),
-                         local_links_->sample_link_rates());
-    }
-    {
-      std::lock_guard lk(mu_);
-      stats_.device_mbps = book_.device_rates();
-    }
-    try {
-      check_and_plan();
-    } catch (const std::exception&) {
-      // A planner/simulator failure on a degenerate refreshed view must
-      // not take the process down (this thread has no other handler) —
-      // the stream keeps serving the current strategy; the failure is
-      // visible in stats and the next telemetry tick retries.
-      std::lock_guard lk(mu_);
-      ++stats_.plan_failures;
-    }
-  }
-}
-
-void Controller::handle_membership(const std::vector<MembershipEvent>& events) {
+void Controller::handle_membership(const std::vector<MembershipEvent>& events,
+                                   std::int64_t now_us) {
   std::vector<rpc::NodeId> died;
   std::vector<rpc::NodeId> joined;
   for (const auto& ev : events) {
@@ -295,6 +202,18 @@ void Controller::handle_membership(const std::vector<MembershipEvent>& events) {
       }
       obs::trace_instant(obs::Cat::kJoinAdopt, -1, -1, -1, ev.node);
     }
+  }
+  if (std::find(dead_.begin(), dead_.end(), false) == dead_.end()) {
+    // No device left alive: the collector's own thread stalled past the
+    // lease, or the whole fleet is gone. There is no survivor to plan for,
+    // so restart the leases instead: a device that really died lapses again
+    // on its own a lease later, and a fleet that is really gone fails the
+    // stream's gathers loudly.
+    for (const auto node : died) {
+      dead_[static_cast<std::size_t>(node)] = false;
+      book_.restart_lease(node, now_us);
+    }
+    died.clear();
   }
   if (died.empty() && joined.empty()) return;
   {
@@ -384,6 +303,7 @@ void Controller::handle_membership(const std::vector<MembershipEvent>& events) {
 }
 
 void Controller::check_and_plan() {
+  if (serving_.volumes.empty()) return;  // not started: no baseline yet
   {
     std::lock_guard lk(mu_);
     if (pending_.has_value()) return;  // previous decision not yet applied

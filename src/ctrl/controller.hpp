@@ -1,35 +1,35 @@
-// The adaptive controller (DESIGN.md §control-plane): the thread that
-// closes the loop between runtime telemetry and the planners.
+// The adaptive controller (DESIGN.md §control-plane): the state that closes
+// the loop between runtime telemetry and the planners. It has no thread of
+// its own — the serving door's control thread (serve::StreamServer), the
+// only reader of the requester's kTelemetryMailbox, feeds it every frame
+// and then polls it, so planning runs on that thread and never on the pump.
 //
-//   telemetry frames ──> TelemetryBook ──> refreshed Network/ClusterLatency
-//        (kTelemetryMailbox)                        │ drift > threshold?
-//                                                   v
-//   serving loop  <── SwapDecision <── planner.plan(refreshed ctx)
-//    (take_swap)        │ keep only if the event simulator predicts the new
-//                       │ strategy beats the serving one on the refreshed
-//                       v view (paper §V-F: the old strategy keeps serving
-//                  while planning runs — the controller thread plans, the
-//                  requester thread swaps at an image boundary)
+//   door control thread ──> ingest()/ingest_heartbeat() ──> TelemetryBook
+//    (kTelemetryMailbox)                                        │
+//          │ poll(): sweep leases, sample local links,          v
+//          └──────── drift > threshold? ──> planner.plan(refreshed ctx)
+//                                                               │
+//   door pump  <── take_swap() <── SwapDecision <───────────────┘
+//    (dispatch)        keep only if the event simulator predicts the new
+//                      strategy beats the serving one on the refreshed view
+//                      (paper §V-F: the old strategy keeps serving while
+//                      planning runs — the control thread plans, the pump
+//                      swaps at an image boundary)
 //
-// The controller never touches the data plane itself: it drains its own
-// mailbox, plans on its own thread, and publishes at most one pending
-// decision that the serving loop picks up between images and turns into a
-// kReconfigure epoch (runtime::push_stream_epoch).
+// The controller never touches the data plane itself: it publishes at most
+// one pending decision that the pump picks up at its next dispatch and
+// turns into a kReconfigure epoch (runtime::push_stream_epoch).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "core/planner.hpp"
 #include "ctrl/telemetry.hpp"
 #include "device/profiler.hpp"
-#include "obs/trace_export.hpp"
 #include "rpc/shaped_transport.hpp"
-#include "rpc/transport.hpp"
 #include "sim/exec_sim.hpp"
 
 namespace de::ctrl {
@@ -48,20 +48,10 @@ struct ControllerConfig {
   /// Predicted one-image-latency gain (fraction) a new strategy must show
   /// on the refreshed view before it is offered for a swap.
   double improvement_margin = 0.03;
-  /// Telemetry-mailbox wait per loop tick.
-  int poll_ms = 10;
   /// Debounce: minimum wall seconds between published swaps.
   Seconds min_swap_gap_s = 0.25;
   /// Fold measured/predicted compute ratios into the latency view.
   bool calibrate_compute = true;
-  /// Optional trace-merge clock book (not owned). The controller is the
-  /// thread that drains telemetry, so it is also the natural collector of
-  /// the kTelemetry steady-clock samples (wire v4): each frame's
-  /// `steady_now_us` is ingested as (reported, received-on-our-clock).
-  obs::ClockSyncBook* clock_sync = nullptr;
-  /// The collector node's own clock origin, subtracted from the receive
-  /// timestamp so both sides of a sample are node-local clocks.
-  std::int64_t clock_origin_us = 0;
   /// Membership lease in milliseconds; 0 disables heartbeat tracking. A
   /// device whose kHeartbeat renewals stop for longer than this (judged on
   /// the controller's own arrival clock — clock skew cannot kill a node) is
@@ -108,39 +98,33 @@ struct ControllerStats {
 class Controller {
  public:
   explicit Controller(ControllerConfig config);
-  ~Controller();
 
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  /// Starts the control loop: drains `transport`'s kTelemetryMailbox
-  /// (which must be open) and replans against drift from the rates
-  /// underlying `serving`. `local_links`, when given, is sampled every
-  /// tick for the controller node's own outgoing links (the scatter
-  /// direction — no wire hop needed). The transport must outlive stop().
-  void start(rpc::Transport& transport, const sim::RawStrategy& serving,
+  /// Seeds the drift baseline with the rates underlying `serving`, the
+  /// strategy the stream starts on. `local_links`, when given, is sampled on
+  /// every poll() for the requester's own outgoing links (the scatter
+  /// direction — no wire hop needed). Calling it again restarts the
+  /// baseline for a new stream.
+  void start(const sim::RawStrategy& serving,
              rpc::LinkRateSampler* local_links = nullptr);
 
-  /// External-feed alternative to start(): no thread and no mailbox of its
-  /// own. The owner pushes each telemetry frame through ingest() and
-  /// planning runs inline on the caller's thread. This is how the serving
-  /// front door runs one controller per tenant stream off the *shared*
-  /// telemetry mailbox: the door drains the mailbox once and fans every
-  /// frame to all tenant controllers (provider compute windows mix the
-  /// tenants' images, so each controller sees the same fleet view).
-  void start_external(const sim::RawStrategy& serving);
-
-  /// Feeds one already-decoded telemetry frame (start_external mode only).
-  /// Cheap when no replan triggers; a planner invocation runs inline.
+  /// Folds one already-decoded telemetry frame into the book. Cheap; the
+  /// planning it may trigger runs on the next poll().
   void ingest(const rpc::TelemetryMsg& msg);
 
-  /// Wires the trace-merge clock book (see ControllerConfig::clock_sync)
-  /// after construction — serve_stream calls this for traced runs, because
-  /// only it knows the fabric's clock origins. Must precede start().
-  void set_clock_sync(obs::ClockSyncBook* book, std::int64_t origin_us) {
-    config_.clock_sync = book;
-    config_.clock_origin_us = origin_us;
-  }
+  /// Folds one already-decoded heartbeat. `received_us` is the caller's
+  /// receive-time clock; lease expiry is swept against the same clock right
+  /// away, so a heartbeat-driven caller sees deaths deterministically.
+  void ingest_heartbeat(const rpc::HeartbeatMsg& msg,
+                        std::int64_t received_us);
+
+  /// One control tick on the caller's thread: sweeps the leases at
+  /// `now_us` (same clock as ingest_heartbeat), samples the local links and
+  /// replans if the rates drifted. A planner failure is counted in
+  /// stats().plan_failures and the stream keeps its current strategy.
+  void poll(std::int64_t now_us);
 
   /// The serving loop's half: pops the pending decision, if any. Taking it
   /// commits the controller to the new strategy as its drift baseline.
@@ -157,16 +141,6 @@ class Controller {
   /// cannot resume, so interrupting one for an image that will NOT be
   /// cancelled would strand its already-consumed chunks.
   bool death_pending() const;
-
-  /// Feeds one already-decoded heartbeat (start_external mode only — the
-  /// threaded loop drains its own mailbox). `received_us` is the caller's
-  /// receive-time clock; lease expiry is swept against the same clock on
-  /// the next ingest/poll.
-  void ingest_heartbeat(const rpc::HeartbeatMsg& msg,
-                        std::int64_t received_us);
-
-  /// Stops and joins the control loop. Idempotent; also run on destruction.
-  void stop();
 
   ControllerStats stats() const;
 
@@ -197,13 +171,12 @@ class Controller {
   MembershipView membership_view(std::int64_t now_us) const;
 
  private:
-  void loop();
   void check_and_plan();
   void sweep_leases(std::int64_t now_us);
-  void handle_membership(const std::vector<MembershipEvent>& events);
+  void handle_membership(const std::vector<MembershipEvent>& events,
+                         std::int64_t now_us);
 
   ControllerConfig config_;
-  rpc::Transport* transport_ = nullptr;
   rpc::LinkRateSampler* local_links_ = nullptr;
 
   TelemetryBook book_;
@@ -218,10 +191,6 @@ class Controller {
   mutable std::mutex mu_;
   std::optional<SwapDecision> pending_;
   ControllerStats stats_;
-
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-  bool external_ = false;  ///< start_external mode: no thread, ingest()-fed
 };
 
 /// Renders a MembershipView as the ops plane's /membership JSON document.

@@ -66,6 +66,14 @@ std::vector<MembershipEvent> TelemetryBook::poll_membership(
   return events;
 }
 
+void TelemetryBook::restart_lease(rpc::NodeId node, std::int64_t now_us) {
+  std::lock_guard lk(lease_mu_);
+  if (node < 0 || static_cast<std::size_t>(node) >= lease_.size()) return;
+  Lease& lease = lease_[static_cast<std::size_t>(node)];
+  lease.dead = false;
+  lease.last_renewal_us = now_us;
+}
+
 bool TelemetryBook::alive(rpc::NodeId node) const {
   std::lock_guard lk(lease_mu_);
   if (node < 0 || static_cast<std::size_t>(node) >= lease_.size()) {

@@ -90,6 +90,11 @@ class TelemetryBook {
   std::vector<MembershipEvent> poll_membership(std::int64_t now_us,
                                                std::int64_t lease_us);
 
+  /// Takes back `node`'s lapse: the lease is live again and runs from
+  /// `now_us` (the heartbeat floor stays reset, so the node's next beat of
+  /// either life renews it).
+  void restart_lease(rpc::NodeId node, std::int64_t now_us);
+
   /// True while the device's lease is considered live (also true before
   /// the first poll — unknown is not dead).
   bool alive(rpc::NodeId node) const;

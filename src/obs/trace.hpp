@@ -226,6 +226,8 @@ class SpanScope {
   void set_arg(std::int64_t arg) { ev_.arg = arg; }
   void add_arg(std::int64_t delta) { ev_.arg += delta; }
   void set_stream(int stream) { ev_.stream = stream; }
+  /// Records nothing after all (an attempt that will be redone whole).
+  void cancel() { armed_ = false; }
 
  private:
   bool armed_ = false;

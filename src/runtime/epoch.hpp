@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/units.hpp"
 #include "rpc/wire.hpp"
 #include "runtime/transfer_plan.hpp"
 
@@ -80,6 +81,19 @@ class EpochTable {
  private:
   std::deque<std::unique_ptr<EpochPlan>> epochs_;
   int horizon_ = 0;
+};
+
+/// One live reconfiguration of a stream's lane: an epoch pushed after the
+/// lane's first (scripted, explicit, controller or membership swaps).
+struct ReconfigEvent {
+  int epoch = 0;
+  int from_image = 0;   ///< global fleet seq the new epoch serves from
+  Seconds at_s = 0;     ///< stream time the announcement went out
+  Ms predicted_serving_ms = 0;  ///< controller swaps: old strategy, new view
+  Ms predicted_next_ms = 0;     ///< controller swaps: new strategy, new view
+  int deaths = 0;       ///< devices this swap removed (lease lapsed)
+  int joins = 0;        ///< devices this swap adopted (revival/joiner)
+  int cancelled = 0;    ///< the stream's in-flight images voided and re-queued
 };
 
 /// Lowers a wire reconfigure into the epoch it announces (plan built against

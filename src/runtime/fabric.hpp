@@ -1,7 +1,9 @@
-// Cluster fabric wiring shared by serve_stream and serve::StreamServer
-// fleets: one transport endpoint per node (providers 0..n-1, requester at
-// index n), data + control mailboxes opened, TCP nodes fully meshed over
-// loopback — plus the provider-thread spawner with its exception barrier.
+// Cluster fabric wiring of every serve::StreamServer fleet (serve_stream
+// builds one per run): one transport endpoint per node (providers 0..n-1,
+// requester at index n, where the door's pump and control thread run),
+// data/control/telemetry/serve mailboxes opened, TCP nodes fully meshed
+// over loopback — plus the provider-thread spawner with its exception
+// barrier.
 // When a FaultSpec is given, every endpoint is wrapped in a
 // FaultInjectingTransport so all inter-node traffic crosses the degraded
 // "wire". Protocol logic lives in worker.cpp; this file only builds and

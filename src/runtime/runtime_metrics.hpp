@@ -60,8 +60,8 @@ void fold_data_plane_metrics(const DataPlaneStats& stats,
 /// Samples the requester-side queue depths into `registry`: one
 /// rpc.mailbox_depth{name=...} gauge per well-known mailbox of `transport`
 /// and one reliable.outbox_depth{node=N} gauge per peer with unacked
-/// frames in `rtx` (nullptr = reliability off, outboxes omitted). Cheap
-/// enough for once-per-image sampling; also run at scrape time.
+/// frames in `rtx` (nullptr = reliability off, outboxes omitted). Run at
+/// scrape time.
 void sample_queue_depths(const rpc::Transport& transport,
                          const Retransmitter* rtx,
                          obs::MetricsRegistry& registry);

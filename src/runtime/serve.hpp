@@ -2,25 +2,28 @@
 // the requester keeps up to K images in flight across the transport —
 // scattering image seq+K while seq is still being computed — and reports the
 // measured wall-clock images/second next to the event simulator's
-// prediction for the same strategy. The stream is one lane (stream 0,
-// model 0) on the shared provider loop (runtime/worker.hpp): its initial
-// strategy is the lane's first announced epoch, and every image is
-// dispatched before it is scattered. Providers run until the requester's
-// kShutdown, so image count is the requester's business alone.
+// prediction for the same strategy. serve_stream builds the fabric and the
+// providers for the run and serves the inputs as the one stream of a
+// serve::StreamServer (window K, bounded by the door's depth cap of
+// 2 x n_devices); the implementation lives in src/serve/serve_stream.cpp.
+// Providers run until the door's kShutdown, so image count is the
+// requester's business alone.
 //
 // With ServeOptions::faults the stream runs over a deterministically
 // degraded fabric (drops/duplicates/delays/partitions) and the
-// reliability protocol keeps it bit-exact; per-image retry/timeout stats
-// land in ServeResult::per_image, and a stream that genuinely cannot make
-// progress (e.g. a link severed past the retransmit budget) fails loudly
-// within a bounded time instead of hanging.
+// reliability protocol keeps it bit-exact (retries and timeouts land in
+// the reliability.* metrics and the per-seq kRecvTimeout trace instants),
+// and a stream that genuinely cannot make progress (e.g. a link severed
+// past the retransmit budget) fails loudly within a bounded time instead
+// of hanging.
 //
 // The stream's strategy is only its *initial* strategy: scripted swaps
-// (ServeOptions::swaps, tests) and an adaptive controller
-// (ServeOptions::controller, closing the telemetry loop) both cut the
-// stream over to new strategies mid-flight via epoch announcements — no
-// pipeline drain, images in flight finish under the epoch that scattered
-// them, and outputs stay bit-exact throughout (DESIGN.md §control-plane).
+// (ServeOptions::swaps, pinned to the images they name) and an adaptive
+// controller (ServeOptions::controller, fed by the door's control thread)
+// both cut the stream over to new strategies mid-flight via epoch
+// announcements — no pipeline drain, images in flight finish under the
+// epoch that scattered them, and outputs stay bit-exact throughout
+// (DESIGN.md §control-plane).
 #pragma once
 
 #include <cstdint>
@@ -45,8 +48,8 @@ class AdminServer;
 
 namespace de::runtime {
 
-/// A pre-scripted strategy swap: cut over when image `at_image` is about to
-/// be scattered (deterministic epoch boundaries for tests/benches).
+/// A pre-scripted strategy swap: image `at_image` and every later one run
+/// `strategy` (deterministic epoch boundaries for tests/benches).
 struct ScriptedSwap {
   int at_image = 0;
   sim::RawStrategy strategy;
@@ -67,7 +70,9 @@ struct ChaosEvent {
 };
 
 struct ServeOptions {
-  int inflight = 4;          ///< K: images concurrently in the pipeline
+  /// K: the stream's window. The door's depth cap (2 x n_devices) bounds
+  /// how many of them are dispatched at once.
+  int inflight = 4;
   bool use_tcp = false;      ///< loopback TCP instead of in-process transport
   bool keep_outputs = false; ///< retain every gathered output (tests)
 
@@ -93,12 +98,14 @@ struct ServeOptions {
   const rpc::ShapingSpec* shaping = nullptr;
 
   /// Deterministic mid-stream strategy swaps, sorted by at_image (tests
-  /// and benches; applied by the requester at exact image boundaries).
+  /// and benches; each is registered just before the image it names is
+  /// submitted). A strategy that does not fit throws de::Error.
   std::vector<ScriptedSwap> swaps;
 
   /// Adaptive controller (not owned; may be null). serve_stream starts it
-  /// on the requester's transport, polls it between images, and turns its
-  /// decisions into epochs. Implies telemetry publishing (see below).
+  /// on the initial strategy and attaches it to the stream; the door's
+  /// control thread feeds and polls it, and the pump turns its decisions
+  /// into epochs. Implies telemetry publishing (see below).
   ctrl::Controller* controller = nullptr;
 
   /// Providers publish a kTelemetry frame every this many images
@@ -106,12 +113,13 @@ struct ServeOptions {
   int telemetry_every = 0;
 
   /// Trace collection (not owned; may be null). When set, serve_stream
-  /// snapshots the TraceRecorder into `trace->dump` at end of stream, fills
-  /// `trace->node_origin_us` from the fabric, and feeds every received
-  /// kTelemetry steady-clock sample into `trace->sync` — everything
-  /// obs::merge_capture needs for one cross-node timeline. The caller
-  /// enables/disables the recorder around the stream. Implies telemetry
-  /// publishing (defaults telemetry_every to 1 like a controller does).
+  /// fills `trace->node_origin_us` from the fabric, the door's control
+  /// thread feeds every received steady-clock sample into `trace->sync`,
+  /// and the TraceRecorder is snapshotted into `trace->dump` at end of
+  /// stream — everything obs::merge_capture needs for one cross-node
+  /// timeline. The caller enables/disables the recorder around the stream.
+  /// Implies telemetry publishing (defaults telemetry_every to 1 like a
+  /// controller does).
   obs::TraceCapture* trace = nullptr;
 
   /// Providers publish a kHeartbeat lease renewal every this many ms
@@ -129,39 +137,26 @@ struct ServeOptions {
   /// controller with lease_ms > 0 to detect and recover from the deaths.
   std::vector<ChaosEvent> chaos;
 
-  /// Live ops plane (not owned; may be null). When set, serve_stream
-  /// registers /metrics (Prometheus text format), /healthz, /membership,
-  /// /streams, and /trace/dump on the endpoint for the stream's lifetime
-  /// (unrouted at teardown, before any handler-captured state dies), arms
-  /// the TraceRecorder in flight-recorder mode if it is not already
-  /// enabled (always-on rings; /trace/dump?s=N snapshots the last N
-  /// seconds without disturbing the stream), and samples queue-depth
-  /// gauges (rpc.mailbox_depth, reliable.outbox_depth) per delivery and
-  /// per scrape.
+  /// Live ops plane (not owned; may be null). When set, the door registers
+  /// /metrics (Prometheus text format), /healthz, /membership, /streams,
+  /// and /trace/dump on the endpoint for the stream's lifetime (see
+  /// serve::StreamServerOptions::admin) and arms the TraceRecorder in
+  /// flight-recorder mode if it is not already enabled (always-on rings;
+  /// /trace/dump?s=N snapshots the last N seconds without disturbing the
+  /// stream).
   obs::AdminServer* admin = nullptr;
 
-  /// Per-image end-to-end latency SLO for /streams (submit -> deliver,
+  /// Per-image end-to-end latency SLO for /streams (submit -> gathered,
   /// milliseconds; 0 = no target, violations stay 0).
   double slo_ms = 0;
 };
 
-/// One live reconfiguration the stream performed.
-struct ReconfigEvent {
-  int epoch = 0;
-  int from_image = 0;   ///< first image served by the new strategy
-  Seconds at_s = 0;     ///< stream time the announcement went out
-  Ms predicted_serving_ms = 0;  ///< controller swaps: old strategy, new view
-  Ms predicted_next_ms = 0;     ///< controller swaps: new strategy, new view
-  int deaths = 0;       ///< devices this swap removed (lease lapsed)
-  int joins = 0;        ///< devices this swap adopted (revival/joiner)
-  int cancelled = 0;    ///< in-flight images voided and re-dispatched
-};
-
 struct ServeResult {
   /// Canonical per-run metrics (runtime/runtime_metrics.hpp names), the
-  /// same names ClusterResult::metrics uses, plus the stream.* extras and
-  /// the gather-latency histogram. The scalar fields below are views into
-  /// this snapshot, kept for existing callers.
+  /// same names ClusterResult::metrics uses: the door's registry (with the
+  /// gather- and image-latency histograms) plus the stream.* extras. The
+  /// scalar fields below are views into this snapshot, kept for existing
+  /// callers.
   obs::MetricsSnapshot metrics;
   int images = 0;
   Seconds wall_s = 0;        ///< first scatter -> last gather
@@ -190,8 +185,6 @@ struct ServeResult {
   std::vector<double> delivered_at_s;
   /// Stream time each chaos event was applied, in schedule order.
   std::vector<double> chaos_applied_at_s;
-  /// Per-image retry/timeout stats observed by the requester's gather.
-  std::vector<ImageRetryStats> per_image;
   std::vector<cnn::Tensor> outputs;  ///< filled iff keep_outputs
   /// Every live strategy swap the stream performed (scripted + adaptive).
   std::vector<ReconfigEvent> reconfigurations;

@@ -1029,8 +1029,7 @@ void scatter_image(RequesterContext& ctx, int stream, int seq,
 }
 
 GatherStatus gather_image(RequesterContext& ctx, int seq,
-                          const cnn::CnnModel& model, cnn::Tensor& output,
-                          ImageRetryStats* retry) {
+                          const cnn::CnnModel& model, cnn::Tensor& output) {
   const auto& last_layer = model.layer(model.num_layers() - 1);
   output = cnn::Tensor(last_layer.out_h(), last_layer.out_w(), last_layer.out_c);
 
@@ -1070,7 +1069,11 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
   obs::SpanScope span(obs::Cat::kGather, seq, -1, ep.epoch);
   int timeout_rounds = 0;
   while (remaining_rows > 0) {
-    if (ctx.interrupt && ctx.interrupt()) return GatherStatus::kInterrupted;
+    const bool resumable = remaining_rows == output.h;
+    if (ctx.interrupt && ctx.interrupt(resumable)) {
+      if (resumable) span.cancel();  // the retry records the whole gather
+      return GatherStatus::kInterrupted;
+    }
     RxChunk chunk;
     switch (receive_frame(rx, chunk)) {
       case RxKind::kStop:
@@ -1087,7 +1090,6 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
                            timeout_rounds);
         broadcast_nack(ctx.transport, ep.plan, seq, ep.plan.num_volumes(),
                        ctx.stats);
-        if (retry != nullptr) ++retry->recv_timeouts;
         if (++timeout_rounds > ctx.reliability.max_recv_timeouts) {
           return GatherStatus::kFailed;
         }

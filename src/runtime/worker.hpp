@@ -28,9 +28,10 @@
 // that meets a tag it does not know yet parks the chunk and waits for the
 // announcement (it is already in flight on the same mailbox), and images of
 // the old epoch complete under the old plan while the new epoch's images
-// are already being scattered — a live, drain-free, bit-exact cutover. A
+// are already being scattered — a live, drain-free, bit-exact cutover. The
+// requester half's one owner is the serve::StreamServer pump; a
 // single-tenant stream (serve_stream) and a finite run (run_distributed)
-// are one lane on this loop.
+// are one lane of a one-stream door on this loop.
 #pragma once
 
 #include <functional>
@@ -121,13 +122,6 @@ void provider_loop_multi(rpc::Transport& transport, int i,
                              cnn::ExecContext::fast_shared(),
                          const TelemetryHooks& telemetry = {});
 
-/// Per-image reliability events observed by the requester while gathering.
-struct ImageRetryStats {
-  /// Bounded data waits that expired; each expiry also broadcast one nack
-  /// round to the providers.
-  std::int64_t recv_timeouts = 0;
-};
-
 /// Requester-side state reused across the images of one run or stream,
 /// over `n_devices` shared providers. It starts with no epoch lanes: the
 /// owner opens one per stream with push_stream_epoch(), and scatter_image()
@@ -163,11 +157,13 @@ struct RequesterContext {
   /// inputs re-dispatched under fresh seqs): their late gather chunks are
   /// silently dropped instead of failing the stream.
   int cancel_below = 0;
-  /// Polled during bounded gather waits (may be empty). Returning true
-  /// interrupts the gather with GatherStatus::kInterrupted so the owner can
-  /// run membership recovery instead of burning the starvation budget on
-  /// chunks a dead device will never send.
-  std::function<bool()> interrupt;
+  /// Polled between the receives of a gather (may be empty). Returning
+  /// true interrupts it with GatherStatus::kInterrupted so the owner can run
+  /// membership recovery instead of burning the starvation budget on chunks
+  /// a dead device will never send, or — while `resumable`, i.e. nothing of
+  /// the image was consumed yet, so it stays gatherable in full — dispatch
+  /// newly arrived work first.
+  std::function<bool(bool resumable)> interrupt;
 };
 
 /// Registers `strategy` as stream `stream`'s next epoch (creating the
@@ -236,11 +232,11 @@ enum class GatherStatus {
 /// dropped (late output of a voided image). Returns kFailed if the
 /// transport shut down mid-gather, a peer sent plan-mismatched chunks, or
 /// (reliable mode) the gather starved past the timeout budget; kInterrupted
-/// when ctx.interrupt() reports pending membership work (the image stays
-/// gatherable — call again or cancel it). `retry`, when given, receives
-/// this image's timeout/nack counts.
+/// when ctx.interrupt() asks for it (a resumable interrupt leaves the image
+/// gatherable — call again; otherwise cancel it). Each expired wait counts
+/// in stats.recv_timeouts and leaves a kRecvTimeout trace instant for
+/// `seq`.
 GatherStatus gather_image(RequesterContext& ctx, int seq,
-                          const cnn::CnnModel& model, cnn::Tensor& output,
-                          ImageRetryStats* retry = nullptr);
+                          const cnn::CnnModel& model, cnn::Tensor& output);
 
 }  // namespace de::runtime

@@ -1,6 +1,7 @@
 // Multi-tenant serving front door (DESIGN.md §serving-front-door): one
-// process-wide pump thread multiplexes any number of concurrent client
-// streams onto a single shared provider fleet.
+// pump thread, the requester node's one loop, multiplexes any number of
+// concurrent client streams onto a single shared provider fleet (a
+// single-tenant runtime::serve_stream is a one-stream client).
 //
 //   clients ──> per-stream input queues ──> pump ──> dispatch + scatter
 //     ^   (admission, window credits)        │        (global fleet seq,
@@ -14,28 +15,27 @@
 // at dispatch and returned at pop, so a consumer that stops popping stalls
 // only its own stream — the pump simply skips streams without credits and
 // keeps dispatching the others (no cross-stream head-of-line blocking).
+// Inputs are queued by pointer, never copied.
 //
 // The queue is held at the pump, not in the providers' inboxes: at most
 // 2 x n_devices images are dispatched but not yet gathered, and each free
 // slot goes to the stream with the smallest finish tag, a fair queue over
-// conv FLOPs (detail::fair_pick). A light tenant's image passes the heavy
-// tenants' backlog instead of waiting behind it in provider inboxes; every
-// provider still sees one global seq order.
+// conv FLOPs (detail::fair_pick); every provider still sees one global seq
+// order.
 //
-// Per-stream strategy swaps (explicit or from an attached per-tenant
-// controller) take effect at the stream's next dispatched image and never
-// touch any other stream's lane.
-//
-// The door also rides fleet churn (DESIGN.md §membership): kHeartbeat
-// frames on the shared telemetry mailbox feed every attached controller's
-// lease book, a death decision cancels the in-flight window and re-queues
-// those inputs for fresh dispatch under the survivor strategy (outputs stay
-// bit-exact, nothing is silently dropped), and streams without their own
-// controller are re-aimed by masking their current strategy over the
-// survivors. Closed, fully drained streams get their epoch lanes evicted
-// fleet-wide (kLaneEvict), so a long-gone stream pins no history.
+// An explicit swap_strategy() is pinned to the stream's next submission;
+// an attached per-tenant controller's decision lands at the stream's next
+// dispatch. Neither touches another stream's lane, and each is logged
+// (StreamSnapshot::reconfigurations). A control thread, the only reader of
+// kTelemetryMailbox, feeds and polls the controllers, so they plan off the
+// pump. On fleet churn (DESIGN.md §membership) a death cancels the
+// in-flight window and re-queues those inputs under the survivor strategy
+// (streams without their own controller get theirs masked over the
+// survivors); closed, drained streams get their lanes evicted fleet-wide
+// (kLaneEvict).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -53,6 +53,7 @@
 #include "ctrl/controller.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace_export.hpp"
 #include "runtime/worker.hpp"
 
 namespace de::obs {
@@ -75,29 +76,27 @@ struct StreamServerOptions {
   int default_window = 4;  ///< per-stream in-flight window when hello says 0
   runtime::ReliabilityOptions reliability;
   /// Live ops plane (not owned; may be null). When set, the door registers
-  /// /metrics (front-door registry: data-plane totals + queue-depth
-  /// gauges), /healthz (503 once the pump failed), /membership (first
-  /// attached tenant controller's lease book), and /streams (per-stream
-  /// delivered/occupancy/latency-percentile/credit-stall accounting) for
-  /// the server's lifetime; routes come down at close(), before the state
-  /// the handlers capture dies.
+  /// /metrics (metrics()), /healthz (503 once the pump failed), /membership
+  /// (first attached tenant controller's lease book and the newest logged
+  /// epoch), and /streams (per-stream delivered/occupancy/latency-
+  /// percentile/credit-stall accounting) for the server's lifetime; routes
+  /// come down at close(), before the state the handlers capture dies.
   obs::AdminServer* admin = nullptr;
-  /// Per-image submit->pop-ready SLO for every stream's /streams row
+  /// Per-image submit->gathered SLO for every stream's /streams row
   /// (milliseconds; 0 = no target, violations stay 0).
   double slo_ms = 0;
-  /// Per-node clock origins (the fabric's node_origin_us; not owned; may
-  /// be null). When set alongside `admin`, the door also serves
-  /// /trace/dump — flight-recorder snapshots merged onto one timeline.
-  /// Without origins the dump cannot rebase provider clocks, so the route
-  /// is not registered.
-  const std::vector<std::int64_t>* node_origins = nullptr;
+  /// Trace capture (not owned; may be null) whose node_origin_us the owner
+  /// filled from the fabric (one per node). The control thread feeds every
+  /// telemetry frame's steady-clock sample into its sync book, and with
+  /// `admin` set the door also serves /trace/dump — flight-recorder
+  /// snapshots merged onto one timeline.
+  obs::TraceCapture* trace = nullptr;
 };
 
 /// Point-in-time view of one stream's serving accounting.
 struct StreamSnapshot {
   int model_id = 0;
   int window = 0;
-  int epochs_pushed = 0;  ///< lane epochs announced (1 = never swapped)
   std::int64_t submitted = 0;
   std::int64_t delivered = 0;  ///< outputs handed to pop()
   int queued = 0;  ///< submitted, not yet dispatched (waiting at the pump)
@@ -105,6 +104,8 @@ struct StreamSnapshot {
   /// Pump rounds that skipped this stream because it held queued input but
   /// no window credits (slow consumer) — the head-of-line-avoidance signal.
   std::int64_t credit_stalls = 0;
+  /// Every epoch the lane took after its first, in push order.
+  std::vector<runtime::ReconfigEvent> reconfigurations;
 };
 
 class StreamServer {
@@ -133,20 +134,26 @@ class StreamServer {
   /// anything or taking a credit — when the image's (h, w, c) is not the
   /// tenant model's input shape.
   bool submit(int stream, cnn::Tensor input);
+  /// The same without a copy: the door reads `input` until the image is
+  /// gathered, so a non-owning pointer must outlive that.
+  bool submit(int stream, std::shared_ptr<const cnn::Tensor> input);
 
   /// Pops the stream's next output in submission order, blocking until one
   /// is ready. Returns the window credit. nullopt once the stream is
   /// closed *and* fully drained (or the server went down).
   std::optional<cnn::Tensor> pop(int stream);
 
-  /// Registers `strategy` as the stream's next epoch, effective at its
-  /// next dispatched image. Other streams' lanes are untouched.
+  /// Registers `strategy` as the stream's next epoch, effective from the
+  /// first image submitted after this call (two calls before one image
+  /// push two epochs there). Validated here: a strategy that does not fit
+  /// the tenant model throws de::Error to the caller and changes nothing.
+  /// Other streams' lanes are untouched.
   void swap_strategy(int stream, const sim::RawStrategy& strategy);
 
-  /// Fans every fleet telemetry frame into `controller` (which must be in
-  /// start_external mode; not owned, must outlive the server) and applies
-  /// its take_swap() decisions to this stream only — the PR-5 adaptive
-  /// loop, per tenant.
+  /// Attaches a started `controller` (not owned, must outlive the server)
+  /// to `stream`: the control thread feeds and polls it, and the pump
+  /// applies its decisions to this stream only — the adaptive loop, per
+  /// tenant.
   void attach_controller(int stream, ctrl::Controller* controller);
 
   /// No more submissions on `stream`; in-flight images still drain to
@@ -155,11 +162,15 @@ class StreamServer {
 
   /// Ends serving: drains in-flight images, discards queued-but-
   /// undispatched inputs, releases the providers with kShutdown and joins
-  /// the pump. Idempotent; also run by the destructor. Callers that want
-  /// every output must pop them before closing.
+  /// the pump, then the control thread. Idempotent; also run by the
+  /// destructor. Callers that want every output must pop them before
+  /// closing.
   void close();
 
   StreamSnapshot snapshot(int stream) const;
+  /// What /metrics serves: the data-plane totals, queue depths, stream
+  /// counters and the gather- and image-latency histograms.
+  obs::MetricsSnapshot metrics();
   int n_devices() const { return n_devices_; }
   const TenantSpec& tenant(int model_id) const {
     return fleet_[static_cast<std::size_t>(model_id)];
@@ -169,6 +180,20 @@ class StreamServer {
 
  private:
   using Clock = std::chrono::steady_clock;
+  using Input = std::shared_ptr<const cnn::Tensor>;
+
+  /// A queued image and the explicit swaps pinned to it.
+  struct Queued {
+    Input input;
+    Clock::time_point t0;
+    std::vector<sim::RawStrategy> swaps;
+  };
+  /// An epoch to push at a stream's next dispatch, with its log entry
+  /// (epoch, from_image and at_s are filled at the push).
+  struct Reconfig {
+    sim::RawStrategy strategy;
+    runtime::ReconfigEvent event;
+  };
 
   struct Stream {
     int model_id = 0;
@@ -177,17 +202,19 @@ class StreamServer {
     bool closed = false;
     bool lane_open = false;
     bool evicted = false;  ///< lane history reclaimed (closed + drained)
-    int epochs_pushed = 0;
+    Clock::time_point opened;
     /// Strategy the lane's current epoch runs — the base a fleet-death
     /// masking redistributes from for streams without their own controller.
     sim::RawStrategy current;
-    std::optional<sim::RawStrategy> pending_swap;
+    std::vector<sim::RawStrategy> swaps;  ///< pinned to the next submit
+    std::optional<Reconfig> recovery;     ///< membership re-aim
     ctrl::Controller* controller = nullptr;
-    std::deque<std::pair<cnn::Tensor, Clock::time_point>> inputs;
+    std::deque<Queued> inputs;
     std::deque<cnn::Tensor> outputs;
     std::int64_t submitted = 0;
     std::int64_t delivered = 0;
     std::vector<double> latency_ms;
+    std::vector<runtime::ReconfigEvent> reconfigurations;
     /// Rolling-percentile window for /streams (shared_ptr: SloWindow holds
     /// a mutex, and Stream must stay movable for the map emplace).
     std::shared_ptr<obs::SloWindow> slo;
@@ -201,14 +228,22 @@ class StreamServer {
   };
 
   void pump();
+  /// Drains kTelemetryMailbox into the sync book and the attached
+  /// controllers and polls them, until close().
+  void control();
   /// Registers/unroutes the ops-plane endpoints (constructor / close()).
   /// unregister is a handler barrier: after it returns no scrape thread is
   /// inside a handler, so `this` may die.
   void register_admin();
   void unregister_admin();
-  /// Opens/refreshes stream `id`'s lane so the image about to be
-  /// dispatched at `from_seq` runs under the right epoch.
-  void prepare_lane(runtime::RequesterContext& ctx, int id, int from_seq);
+  /// Wakes the pump for work submit()/pop() just made dispatchable; call
+  /// with `lk` (on mu_) held, which it releases.
+  void wake_pump(std::unique_lock<std::mutex>& lk);
+  /// Brings stream `id`'s lane up to date for the image about to be
+  /// dispatched at `from_seq`: opens it, then pushes the image's `pinned`
+  /// swaps, a pending recovery and the controller's decision, in order.
+  void prepare_lane(runtime::RequesterContext& ctx, int id, int from_seq,
+                    std::vector<sim::RawStrategy> pinned);
 
   rpc::Transport& door_;
   const int n_devices_;
@@ -222,18 +257,27 @@ class StreamServer {
   std::map<int, Stream> streams_;
   int next_stream_ = 0;
   bool closing_ = false;
+  std::atomic<bool> control_stop_{false};
   bool down_ = false;  ///< pump failed (transport loss / starved gather)
+  /// The pump waits in a gather it would leave for new work: the next
+  /// submit() or pop() wakes it with an empty frame on its data mailbox.
+  bool gathering_ = false;
+  int last_swap_epoch_ = -1;  ///< newest logged epoch, for /membership
   /// Pump's retransmitter while it lives (guarded by mu_): the /metrics
   /// handler samples its outbox depth, and the pump nulls this before the
   /// retransmitter dies.
   runtime::Retransmitter* rtx_ = nullptr;
 
-  /// Front-door metrics registry: data-plane totals folded per scrape,
-  /// queue-depth gauges sampled per scrape and per gathered image.
+  /// Front-door metrics registry: data-plane totals and queue-depth gauges
+  /// refreshed by metrics(), latency histograms recorded per gathered
+  /// image.
   obs::MetricsRegistry registry_;
+  obs::Histogram& gather_latency_;
+  obs::Histogram& image_latency_;
   std::vector<std::string> admin_paths_;  ///< registered ops-plane routes
 
   std::thread pump_thread_;
+  std::thread control_thread_;
 };
 
 namespace detail {

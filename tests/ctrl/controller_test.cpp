@@ -1,19 +1,16 @@
 // Control-plane unit + loop tests: the telemetry book's rate attribution
 // and network refresh, the scaled latency view, the bandwidth-proportional
-// planner's sensitivity to observed rates, and the controller thread
-// end-to-end — telemetry frames in, a predicted-better strategy out, with
-// re-baselining so one regime change yields one swap.
+// planner's sensitivity to observed rates, and the controller end-to-end —
+// telemetry frames in, a predicted-better strategy out, with re-baselining
+// so one regime change yields one swap.
 #include "ctrl/controller.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
-
 #include "common/require.hpp"
 #include "ctrl/planner.hpp"
 #include "device/device.hpp"
-#include "rpc/inproc_transport.hpp"
+#include "obs/trace.hpp"
 
 namespace de::ctrl {
 namespace {
@@ -132,19 +129,17 @@ TEST(Controller, RegimeShiftYieldsExactlyOneSwap) {
   config.model = &model;
   config.latency = nano_cluster(n);
   config.network = net::Network(n, 100.0);
-  config.poll_ms = 2;
   config.min_swap_gap_s = 0.0;
   Controller controller(config);
 
-  // Node n is the requester; the controller drains its telemetry mailbox.
-  rpc::InProcFabric fabric(n + 1);
-  fabric.endpoint(n).open_mailbox(rpc::kTelemetryMailbox);
+  // Node n is the requester; each tick feeds one report per device and
+  // polls, as the serving door's control thread does.
   core::PlanContext ctx;
   ctx.model = &model;
   ctx.latency = config.latency;
   ctx.network = &config.network;
   const auto serving = planner.plan(ctx).to_raw(model);
-  controller.start(fabric.endpoint(n), serving);
+  controller.start(serving);
 
   // Device 0's radio collapses 100 -> 1 Mbps; everyone else holds. (On the
   // tiny test model, per-transfer fixed I/O costs dominate until the link
@@ -156,15 +151,14 @@ TEST(Controller, RegimeShiftYieldsExactlyOneSwap) {
     msg.compute_ms = 1.0;
     msg.images = 1;
     msg.links = {{n, mbps, 0.5}};
-    fabric.endpoint(0).send(rpc::Address{n, rpc::kTelemetryMailbox},
-                            rpc::Frame(rpc::encode_telemetry(msg)));
+    controller.ingest(msg);
   };
   std::optional<SwapDecision> decision;
   for (int tick = 0; tick < 500 && !decision.has_value(); ++tick) {
     report(0, 1.0);
     report(1, 100.0);
     report(2, 100.0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    controller.poll(obs::now_us());
     decision = controller.take_swap();
   }
   ASSERT_TRUE(decision.has_value()) << "controller never offered a swap";
@@ -179,7 +173,7 @@ TEST(Controller, RegimeShiftYieldsExactlyOneSwap) {
     report(0, 1.0);
     report(1, 100.0);
     report(2, 100.0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    controller.poll(obs::now_us());
     ASSERT_FALSE(controller.take_swap().has_value());
   }
 
@@ -187,8 +181,6 @@ TEST(Controller, RegimeShiftYieldsExactlyOneSwap) {
   EXPECT_GT(stats.telemetry_frames, 0);
   EXPECT_GE(stats.replans, 1);
   EXPECT_EQ(stats.swaps, 1);
-  controller.stop();
-  fabric.shutdown_all();
 }
 
 TEST(Controller, RejectsInvalidConfigs) {

@@ -143,7 +143,7 @@ TEST(MaskStrategy, DeadDeviceEmptiedRowsRedistributedExactly) {
   EXPECT_THROW(mask_strategy(strategy, all_dead), Error);
 }
 
-/// External-mode controller with a synthetic heartbeat clock: the caller
+/// A hand-fed controller with a synthetic heartbeat clock: the caller
 /// owns `received_us` entirely, so lease timing is deterministic.
 struct ExternalController {
   cnn::CnnModel model = mini();
@@ -169,7 +169,7 @@ struct ExternalController {
     net::Network network(n, 100.0);
     ctx.network = &network;
     serving = planner.plan(ctx).to_raw(model);
-    controller->start_external(serving);
+    controller->start(serving);
   }
 
   void beat(rpc::NodeId node, std::uint32_t seq, std::int64_t at_us) {
@@ -202,6 +202,29 @@ TEST(ControllerMembership, DeathPublishesMaskedSurvivorStrategy) {
   EXPECT_GT(rows_of(decision->strategy, 1), 0);
   EXPECT_FALSE(ext.controller->membership_pending());  // taken = gone
   EXPECT_EQ(ext.controller->stats().deaths, 1);
+}
+
+TEST(ControllerMembership, EveryLeaseLapsingAtOnceIsNotAFleetDeath) {
+  // The collector's thread stalls past the lease, so at its next sweep every
+  // lease has lapsed. There is no survivor to plan for: nothing is published
+  // and nothing throws, and the leases restart. Node 0 really died during
+  // the stall: it lapses again on its own a lease later, and only then is
+  // it declared dead.
+  ExternalController ext(3);
+  for (rpc::NodeId n = 0; n < 3; ++n) ext.beat(n, 1, 0);
+  EXPECT_NO_THROW(ext.beat(0, 1, 200'000));  // a replay: renews nothing
+  EXPECT_FALSE(ext.controller->membership_pending());
+  ext.beat(1, 2, 230'000);
+  ext.beat(2, 2, 230'000);
+  EXPECT_FALSE(ext.controller->membership_pending());
+  ext.beat(1, 3, 260'000);  // node 0's restarted lease (50 ms) lapsed
+  auto decision = ext.controller->take_swap();
+  ASSERT_TRUE(decision.has_value());
+  ASSERT_EQ(decision->died.size(), 1u);
+  EXPECT_EQ(decision->died[0], 0);
+  EXPECT_TRUE(decision->joined.empty());
+  EXPECT_EQ(ext.controller->stats().deaths, 1);
+  EXPECT_EQ(ext.controller->stats().joins, 0);
 }
 
 TEST(ControllerMembership, RejoinAdoptsWithProfileOnJoinCalibration) {

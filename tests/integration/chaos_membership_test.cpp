@@ -76,7 +76,6 @@ TEST(ChaosMembership, SixDeviceTcpClusterSurvivesTwoDeathsAndARejoin) {
         device::make_latency_model(device::DeviceType::kNano));
   }
   config.network = net::Network(n_devices, 100.0);
-  config.poll_ms = 2;
   config.lease_ms = 80;
   config.drift_threshold = 1e9;  // membership decisions only
   ctrl::Controller controller(config);

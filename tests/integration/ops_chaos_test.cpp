@@ -84,7 +84,6 @@ TEST(OpsChaos, DeathAndSloObservedThroughLiveEndpointsOnly) {
         device::make_latency_model(device::DeviceType::kNano));
   }
   config.network = net::Network(n_devices, 100.0);
-  config.poll_ms = 2;
   config.lease_ms = 80;
   config.drift_threshold = 1e9;  // membership decisions only
   ctrl::Controller controller(config);
@@ -174,7 +173,7 @@ TEST(OpsChaos, ExternalControllerMembershipJsonTracksDeadJoiningAlive) {
   config.lease_ms = 10;  // 10 ms lease on our fully synthetic clock
   config.drift_threshold = 1e9;
   ctrl::Controller controller(config);
-  controller.start_external(even_strategy(m, n_devices));
+  controller.start(even_strategy(m, n_devices));
 
   const auto hb = [&](rpc::NodeId node, std::uint32_t seq,
                       std::int64_t at_us) {
@@ -232,7 +231,6 @@ TEST(OpsChaos, ExternalControllerMembershipJsonTracksDeadJoiningAlive) {
     const std::string j = json_at(21000);
     EXPECT_NE(j.find("\"node\":1,\"state\":\"alive\""), std::string::npos);
   }
-  controller.stop();
 }
 
 }  // namespace

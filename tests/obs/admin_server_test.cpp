@@ -1,8 +1,14 @@
 // AdminServer: routing, query passing, error statuses, the unroute
-// barrier, concurrent scrapes, and SloWindow percentile accounting.
+// barrier, concurrent scrapes, hostile requests, and SloWindow percentile
+// accounting.
 #include "obs/admin.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -15,6 +21,44 @@
 
 namespace de::obs {
 namespace {
+
+/// A loopback connection to `port` with a 5 s receive timeout (-1 on
+/// failure).
+int dial(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends `request` raw (half-closing afterwards when `half_close`) and
+/// returns everything the server wrote back before closing ("" = nothing).
+std::string exchange(std::uint16_t port, const std::string& request,
+                     bool half_close) {
+  const int fd = dial(port);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return "";
+  // The server may close mid-send (oversized request): no SIGPIPE.
+  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  if (half_close) ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char buf[1024];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return reply;
+}
 
 TEST(AdminServer, RoutesAndStatusCodes) {
   AdminServer server;
@@ -131,6 +175,55 @@ TEST(AdminServer, CloseIsIdempotentAndScrapesFailAfter) {
   server.close();
   server.close();
   EXPECT_FALSE(http_get(port, "/x").has_value());
+}
+
+TEST(AdminServer, HostileRequestsNeverReachAHandler) {
+  AdminServer server;
+  std::atomic<int> calls{0};
+  server.route("/metrics", [&calls](std::string_view) {
+    calls.fetch_add(1);
+    return HttpResponse{200, "text/plain; charset=utf-8", "m 1\n"};
+  });
+  // 16 KiB and no terminator: the bounded read gives up, nobody answers.
+  EXPECT_EQ(exchange(server.port(),
+                     "GET /metrics HTTP/1.0\r\nX-Pad: " +
+                         std::string(16 * 1024, 'a'),
+                     /*half_close=*/false),
+            "");
+  // Closed before its terminator.
+  EXPECT_EQ(exchange(server.port(), "GET /metrics HTTP/1.0\r\n",
+                     /*half_close=*/true),
+            "");
+  // Not a GET.
+  const std::string post =
+      exchange(server.port(), "POST /metrics HTTP/1.0\r\n\r\n", false);
+  EXPECT_EQ(post.rfind("HTTP/1.0 405 ", 0), 0u) << post;
+  EXPECT_EQ(calls.load(), 0);
+  // The server still serves.
+  const auto ok = http_get(server.port(), "/metrics");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->status, 200);
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(AdminServer, IdleConnectionsDoNotBlockAScrape) {
+  AdminServer server;
+  std::atomic<int> calls{0};
+  server.route("/metrics", [&calls](std::string_view) {
+    calls.fetch_add(1);
+    return HttpResponse{200, "text/plain; charset=utf-8", "m 1\n"};
+  });
+  std::vector<int> idle;
+  for (int i = 0; i < 32; ++i) {
+    const int fd = dial(server.port());
+    ASSERT_GE(fd, 0);
+    idle.push_back(fd);
+  }
+  const auto r = http_get(server.port(), "/metrics");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 200);
+  EXPECT_EQ(calls.load(), 1);
+  for (const int fd : idle) ::close(fd);
 }
 
 TEST(SloWindow, PercentilesAndViolations) {

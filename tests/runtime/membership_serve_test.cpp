@@ -82,7 +82,6 @@ struct ChurnController {
           device::make_latency_model(device::DeviceType::kNano));
     }
     config.network = net::Network(n_devices, 100.0);
-    config.poll_ms = 2;
     config.lease_ms = 80;
     config.drift_threshold = 1e9;  // membership decisions only
     controller = std::make_unique<ctrl::Controller>(config);

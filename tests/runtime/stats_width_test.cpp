@@ -35,8 +35,6 @@ static_assert(std::is_same_v<decltype(ClusterResult::duplicates_dropped),
                              std::int64_t>);
 static_assert(std::is_same_v<decltype(ClusterResult::recv_timeouts),
                              std::int64_t>);
-static_assert(std::is_same_v<decltype(ImageRetryStats::recv_timeouts),
-                             std::int64_t>);
 
 // And so do the hot-path atomics they are folded from.
 static_assert(std::is_same_v<decltype(DataPlaneStats::messages),

@@ -167,7 +167,9 @@ TEST(OpsPlane, FrontDoorExposesStreamsAndMetrics) {
     serve::StreamServerOptions server_options;
     server_options.admin = &admin;
     server_options.slo_ms = 10000;
-    server_options.node_origins = &fabric.node_origin_us;
+    obs::TraceCapture trace;
+    trace.node_origin_us = fabric.node_origin_us;
+    server_options.trace = &trace;
     serve::StreamServer server(fabric.requester(), n_devices, fleet, stats,
                                server_options);
 

@@ -3,16 +3,19 @@
 // bit-for-bit — across tenants with different models, across mid-stream
 // per-stream strategy swaps (which must never reconfigure another tenant),
 // over InProc and loopback TCP fabrics including faulted and shaped wires —
-// a slow consumer may stall only its own stream, never the fleet, and a
-// mis-shaped input is refused at the door. The pump's dispatch order
-// (detail::fair_pick) is tested on its own, without threads, and its depth
-// cap on the recorded trace of a real door.
+// a slow consumer may stall only its own stream, never the fleet, a
+// mis-shaped input or a strategy that does not fit is refused at the door,
+// and a tenant controller's planning never blocks the pump. The pump's
+// dispatch order (detail::fair_pick) is tested on its own, without
+// threads, and its depth cap on the recorded trace of a real door.
 #include "serve/stream_server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "core/strategy.hpp"
@@ -235,7 +238,7 @@ TEST(StreamServer, InflightNeverExceedsTheDepthCap) {
 
   int door_threads = 0;
   for (const auto& thread : dump.threads) {
-    if (thread.name != "serve-door") continue;
+    if (thread.name != "requester") continue;
     ++door_threads;
     EXPECT_EQ(thread.dropped, 0u);
     int scattered = 0;
@@ -285,6 +288,55 @@ TEST(StreamServer, MisShapedInputIsRefusedAndTheDoorStaysUp) {
   EXPECT_FALSE(h.server->down());
 }
 
+TEST(StreamServer, SwapThatDoesNotFitThrowsToItsCallerOnly) {
+  Harness h(3, /*use_tcp=*/false);
+  Rng rng(17);
+  const int sa = h.server->open_stream(0);
+  const int sb = h.server->open_stream(1);
+  ASSERT_GE(sa, 0);
+  ASSERT_GE(sb, 0);
+  // Tenant B's partition does not fit tenant A's model, and an empty
+  // strategy fits nothing: both are refused on the caller's thread.
+  EXPECT_THROW(h.server->swap_strategy(sa, h.fleet[1].strategy), Error);
+  EXPECT_THROW(h.server->swap_strategy(sa, sim::RawStrategy{}), Error);
+  EXPECT_FALSE(h.server->down());
+
+  // Neither refused swap reaches the lane; both tenants keep serving.
+  const auto in_a = random_inputs(h.ma, 4, rng);
+  const auto in_b = random_inputs(h.mb, 4, rng);
+  std::thread client_a([&] { run_and_check_stream(h, sa, 0, in_a); });
+  std::thread client_b([&] { run_and_check_stream(h, sb, 1, in_b); });
+  client_a.join();
+  client_b.join();
+  EXPECT_TRUE(h.server->snapshot(sa).reconfigurations.empty());
+  EXPECT_FALSE(h.server->down());
+}
+
+TEST(StreamServer, SwapIsPinnedToTheNextSubmission) {
+  // Three images are queued before the swap and one after it: the swap
+  // serves from the fourth image on, however far the pump has got.
+  Harness h(2, /*use_tcp=*/false);
+  Rng rng(37);
+  const int sa = h.server->open_stream(0, /*window=*/4);
+  ASSERT_GE(sa, 0);
+  const auto inputs = random_inputs(h.ma, 4, rng);
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(h.server->submit(sa, inputs[static_cast<std::size_t>(k)]));
+  }
+  h.server->swap_strategy(sa, weighted_strategy(h.ma, {0, 2, 5}, {3.0, 1.0}));
+  ASSERT_TRUE(h.server->submit(sa, inputs[3]));
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    auto out = h.server->pop(sa);
+    ASSERT_TRUE(out.has_value());
+    expect_equal(*out, runtime::run_reference(h.ma, h.wa, inputs[k]),
+                 "pinned-swap image " + std::to_string(k));
+  }
+  const auto log = h.server->snapshot(sa).reconfigurations;
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].from_image, 3);
+  EXPECT_EQ(log[0].epoch, 2);  // the lane opened as epoch 1
+}
+
 TEST(StreamServer, PerStreamSwapNeverTouchesOtherTenants) {
   Harness h(3, /*use_tcp=*/false);
   Rng rng(13);
@@ -317,8 +369,8 @@ TEST(StreamServer, PerStreamSwapNeverTouchesOtherTenants) {
   client_b.join();
 
   // The swap really happened — and only on tenant A's lane.
-  EXPECT_EQ(h.server->snapshot(sa).epochs_pushed, 2);
-  EXPECT_EQ(h.server->snapshot(sb).epochs_pushed, 1);
+  EXPECT_EQ(h.server->snapshot(sa).reconfigurations.size(), 1u);
+  EXPECT_EQ(h.server->snapshot(sb).reconfigurations.size(), 0u);
 }
 
 TEST(StreamServer, SlowConsumerStallsOnlyItsOwnStream) {
@@ -418,8 +470,8 @@ TEST(StreamServer, FaultedFabricMultiStreamBitExact) {
   std::thread client_b([&] { run_and_check_stream(h, sb, 1, in_b); });
   client_a.join();
   client_b.join();
-  EXPECT_EQ(h.server->snapshot(sa).epochs_pushed, 2);
-  EXPECT_EQ(h.server->snapshot(sb).epochs_pushed, 1);
+  EXPECT_EQ(h.server->snapshot(sa).reconfigurations.size(), 1u);
+  EXPECT_EQ(h.server->snapshot(sb).reconfigurations.size(), 0u);
 }
 
 TEST(StreamServer, ShapedFabricMultiStreamBitExact) {
@@ -451,7 +503,7 @@ TEST(StreamServer, PerTenantControllerFedFromSharedTelemetry) {
   }
   config.network = net::Network(2, 100.0);
   ctrl::Controller controller(config);
-  controller.start_external(h.fleet[0].strategy);
+  controller.start(h.fleet[0].strategy);
   const ClosesServerFirst closes_first{h};
 
   Rng rng(71);
@@ -463,6 +515,91 @@ TEST(StreamServer, PerTenantControllerFedFromSharedTelemetry) {
   // Providers published one frame per finished image; the door fanned them
   // into the tenant's controller.
   EXPECT_GT(controller.stats().telemetry_frames, 0);
+}
+
+/// A planner that blocks in plan() until released (or a bounded wait runs
+/// out), then plans bandwidth-proportionally.
+class GatedPlanner final : public core::Planner {
+ public:
+  std::string name() const override { return "gated"; }
+  core::DistributionStrategy plan(const core::PlanContext& ctx) override {
+    std::unique_lock lk(mu_);
+    state_ = State::kBlocked;
+    cv_.notify_all();
+    cv_.wait_for(lk, std::chrono::seconds(10), [this] { return released_; });
+    state_ = State::kReturned;
+    lk.unlock();
+    return inner_.plan(ctx);
+  }
+  bool wait_blocked() {
+    std::unique_lock lk(mu_);
+    return cv_.wait_for(lk, std::chrono::seconds(10),
+                        [this] { return state_ != State::kIdle; });
+  }
+  bool blocked() const {
+    std::lock_guard lk(mu_);
+    return state_ == State::kBlocked;
+  }
+  void release() {
+    std::lock_guard lk(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  enum class State { kIdle, kBlocked, kReturned };
+  ctrl::BandwidthProportionalPlanner inner_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  State state_ = State::kIdle;
+  bool released_ = false;
+};
+
+TEST(StreamServer, PlanningRunsOffThePump) {
+  // Links paced at 400 Mbps against a 10 Mbps baseline: the first
+  // telemetry drifts far past the threshold and the tenant controller
+  // replans. Its planner blocks; every image submitted while it does must
+  // still be served, because planning runs on the door's control thread.
+  const auto shaping = rpc::ShapingSpec::uniform(/*n_nodes=*/3, /*rate=*/400.0);
+  Harness h(2, /*use_tcp=*/false, {}, nullptr, &shaping,
+            /*telemetry_every=*/1);
+  GatedPlanner planner;
+  ctrl::ControllerConfig config;
+  config.planner = &planner;
+  config.model = &h.ma;
+  for (int i = 0; i < 2; ++i) {
+    config.latency.push_back(
+        device::make_latency_model(device::DeviceType::kNano));
+  }
+  config.network = net::Network(2, 10.0);
+  config.min_swap_gap_s = 0.0;
+  ctrl::Controller controller(config);
+  controller.start(h.fleet[0].strategy);
+  const ClosesServerFirst closes_first{h};
+  struct ReleasesFirst {
+    GatedPlanner& planner;
+    ~ReleasesFirst() { planner.release(); }
+  } const releases_first{planner};
+
+  Rng rng(43);
+  const int sa = h.server->open_stream(0);
+  ASSERT_GE(sa, 0);
+  h.server->attach_controller(sa, &controller);
+  const auto inputs = random_inputs(h.ma, 10, rng);
+  const auto serve = [&](std::size_t k) {
+    ASSERT_TRUE(h.server->submit(sa, inputs[k]));
+    auto out = h.server->pop(sa);
+    ASSERT_TRUE(out.has_value()) << "image " << k;
+    expect_equal(*out, runtime::run_reference(h.ma, h.wa, inputs[k]),
+                 "image " + std::to_string(k));
+  };
+  serve(0);
+  serve(1);
+  ASSERT_TRUE(planner.wait_blocked());
+  for (std::size_t k = 2; k < inputs.size(); ++k) serve(k);
+  EXPECT_TRUE(planner.blocked())
+      << "the stream stalled until the planner gave up";
+  EXPECT_EQ(h.server->snapshot(sa).delivered, 10);
 }
 
 TEST(StreamServer, RetiredLaneIsEvictedAcrossTheFleet) {
@@ -516,11 +653,10 @@ TEST(StreamServer, StreamsSurviveFleetChurn) {
         device::make_latency_model(device::DeviceType::kNano));
   }
   config.network = net::Network(3, 100.0);
-  config.poll_ms = 2;
   config.lease_ms = 80;
   config.drift_threshold = 1e9;  // membership decisions only
   ctrl::Controller controller(config);
-  controller.start_external(h.fleet[0].strategy);
+  controller.start(h.fleet[0].strategy);
   const ClosesServerFirst closes_first{h};
 
   Rng rng(89);
