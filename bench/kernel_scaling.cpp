@@ -1,28 +1,26 @@
 // Kernel-scaling benchmark: reference vs fast conv engine on a model-zoo
 // layer, across thread counts, ISA dispatch targets, and the fused
-// conv→relu→pool epilogue, written to BENCH_kernel.json — the
+// conv→relu→pool epilogue, plus reference vs fast standalone maxpool on the
+// zoo's two largest pool layers, written to BENCH_kernel.json — the
 // perf-trajectory record for the execution engine.
 //
 //   bench_kernel_scaling [--quick] [--out PATH] [--list-isas]
 //
-// --quick picks a smaller layer and a smaller timing budget (CI smoke);
-// --list-isas prints the host's supported dispatch targets one per line and
-// exits (what CI iterates to force each conformance pass).
-// No google-benchmark dependency: plain steady_clock, best-of-N.
+// --quick picks a smaller conv layer and a smaller timing budget (CI
+// smoke); --list-isas prints the host's supported dispatch targets one per
+// line and exits (what CI iterates to force each conformance pass).
+// No google-benchmark dependency: plain steady_clock, best-of-N. Exits 1
+// when any fast output is not bitwise the reference's.
 //
-// Thread scaling honesty: wall-clock scaling above 1x is impossible when
-// the host exposes fewer cores than the sweep asks for (CI containers are
-// often pinned to one). Every row reports the raw wall number; rows where
-// threads exceed hardware_threads additionally carry a clearly-labeled
-// single-core projection (threads * t1 / tT, capped at `threads` — what the
-// same decomposition would reach if each thread had a core, assuming the
-// observed per-thread overhead) and a "basis" field saying which number
-// scaling_vs_1t is. Consumers must check "basis" before comparing runs.
+// The thread sweep (1/2/4/8) stops at the host's hardware threads: a row
+// with more threads than cores would measure oversubscription, not
+// scaling, so every scaling_vs_1t is a wall-clock ratio.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,22 +51,21 @@ double time_best_s(double budget_s, const std::function<cnn::Tensor()>& fn) {
   return best;
 }
 
-/// First conv layer of vgg16 with the requested input width (the zoo's
-/// conv4 block at 28, conv5 block at 14 — both 512 channels deep).
-cnn::LayerConfig pick_layer(int want_in_w) {
-  const auto m = cnn::vgg16();
+/// First layer of `m` of `kind` with the requested input width.
+cnn::LayerConfig pick_layer(const cnn::CnnModel& m, cnn::LayerKind kind,
+                            int want_in_w) {
   for (const auto& l : m.layers()) {
-    if (l.kind == cnn::LayerKind::kConv && l.in_w == want_in_w) return l;
+    if (l.kind == kind && l.in_w == want_in_w) return l;
   }
-  throw Error("no vgg16 conv layer at input width " + std::to_string(want_in_w));
+  throw Error("no " + std::string(to_string(kind)) + " layer of " + m.name() +
+              " at input width " + std::to_string(want_in_w));
 }
 
+/// Same extents and the same bits (NaN and -0.0 included).
 bool bit_exact(const cnn::Tensor& a, const cnn::Tensor& b) {
-  if (a.h != b.h || a.w != b.w || a.c != b.c) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a.data[i] != b.data[i]) return false;
-  }
-  return true;
+  return a.h == b.h && a.w == b.w && a.c == b.c &&
+         std::memcmp(a.data.data(), b.data.data(),
+                     a.size() * sizeof(float)) == 0;
 }
 
 }  // namespace
@@ -93,7 +90,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto layer = pick_layer(quick ? 14 : 28);
+  // vgg16's first conv at input width 28 (conv4 block) or 14 (conv5),
+  // both 512 channels deep.
+  const auto layer =
+      pick_layer(cnn::vgg16(), cnn::LayerKind::kConv, quick ? 14 : 28);
   const double budget_s = quick ? 0.2 : 1.0;
   const double gflop = static_cast<double>(layer.ops()) * 1e-9;
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
@@ -157,6 +157,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Point> fast;
   for (const int threads : {1, 2, 4, 8}) {
+    if (threads > 1 && static_cast<unsigned>(threads) > hw_threads) break;
     // One thread runs the fast kernel inline — no pool, no dispatch.
     ThreadPool pool(static_cast<std::size_t>(threads));
     const auto ctx =
@@ -173,27 +174,14 @@ int main(int argc, char** argv) {
   }
 
   const double t1 = fast.front().seconds;
-  const auto wall_scaling = [&](const Point& p) { return t1 / p.seconds; };
-  // What the same decomposition reaches with a core per thread, assuming the
-  // measured per-thread overhead: on one core, T threads doing the same
-  // total work in tT wall seconds spent T*tT core-seconds; perfect overlap
-  // would divide by T again. Capped at `threads` (never report super-linear).
-  const auto projected_scaling = [&](const Point& p) {
-    return std::min(static_cast<double>(p.threads),
-                    static_cast<double>(p.threads) * t1 / p.seconds);
-  };
+  const auto scaling = [&](const Point& p) { return t1 / p.seconds; };
   for (const auto& p : fast) {
-    if (p.threads <= 1) continue;
-    const bool oversubscribed = static_cast<unsigned>(p.threads) > hw_threads;
-    const double scaling =
-        oversubscribed ? projected_scaling(p) : wall_scaling(p);
-    if (p.threads == 2 && scaling < 1.3) {
+    if (p.threads == 2 && scaling(p) < 1.3) {
       std::fprintf(stderr,
                    "WARNING: kernel scaling_vs_1t %.2f at 2 threads is below "
-                   "1.3 (%s basis) — multithreaded decomposition is not "
-                   "paying for itself\n",
-                   scaling,
-                   oversubscribed ? "projected_single_core" : "wall_clock");
+                   "1.3 — multithreaded decomposition is not paying for "
+                   "itself\n",
+                   scaling(p));
     }
   }
 
@@ -217,11 +205,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"bit_exact_vs_reference\": %s,\n",
                all_exact ? "true" : "false");
   std::fprintf(f,
-               "  \"scaling_basis_note\": \"rows with threads > "
-               "hardware_threads report scaling_vs_1t as a single-core "
-               "projection (threads * t1 / tT, capped at threads); "
-               "wall_scaling_vs_1t is always the raw wall-clock ratio\",\n");
-  std::fprintf(f,
                "  \"reference\": {\"ms\": %.3f, \"gflops\": %.3f},\n",
                ref_s * 1e3, gflop / ref_s);
   std::fprintf(f, "  \"targets\": [\n");
@@ -239,22 +222,14 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"fast\": [\n");
   for (std::size_t i = 0; i < fast.size(); ++i) {
     const auto& p = fast[i];
-    const bool oversubscribed = static_cast<unsigned>(p.threads) > hw_threads;
-    const double scaling =
-        p.threads == 1 ? 1.0
-                       : (oversubscribed ? projected_scaling(p)
-                                         : wall_scaling(p));
     std::fprintf(f,
                  "    {\"threads\": %d, \"isa\": \"%s\", \"ms\": %.3f, "
                  "\"gflops\": %.3f, \"speedup_vs_reference\": %.3f, "
-                 "\"scaling_vs_1t\": %.3f, \"basis\": \"%s\", "
-                 "\"wall_scaling_vs_1t\": %.3f, "
+                 "\"scaling_vs_1t\": %.3f, "
                  "\"bit_exact_vs_reference\": %s}%s\n",
                  p.threads, to_string(default_isa), p.seconds * 1e3,
-                 gflop / p.seconds, ref_s / p.seconds, scaling,
-                 oversubscribed ? "projected_single_core" : "wall_clock",
-                 wall_scaling(p), p.exact ? "true" : "false",
-                 i + 1 < fast.size() ? "," : "");
+                 gflop / p.seconds, ref_s / p.seconds, scaling(p),
+                 p.exact ? "true" : "false", i + 1 < fast.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
 
@@ -282,9 +257,49 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"fused_conv_pool\": {\"unfused_ms\": %.3f, "
                "\"fused_ms\": %.3f, \"speedup\": %.3f, "
-               "\"bit_exact_vs_unfused\": %s}\n",
+               "\"bit_exact_vs_unfused\": %s},\n",
                unfused_s * 1e3, fused_s * 1e3, unfused_s / fused_s,
                fused_exact ? "true" : "false");
+
+  // --- Standalone maxpool, single-threaded: the reference loop vs the fast
+  // engine's channel-innermost one, on edgenet's 80x80x48 k2 s2 and
+  // resnet50's 112x112x64 k3 s2 (the zoo's largest pool layers).
+  std::fprintf(f, "  \"maxpool\": [\n");
+  const cnn::LayerConfig pools[] = {
+      pick_layer(cnn::edgenet(), cnn::LayerKind::kMaxPool, 80),
+      pick_layer(cnn::resnet50(), cnn::LayerKind::kMaxPool, 112)};
+  const char* pool_models[] = {"edgenet", "resnet50"};
+  for (std::size_t i = 0; i < std::size(pools); ++i) {
+    const auto& pl = pools[i];
+    cnn::Tensor pool_in(pl.in_h, pl.in_w, pl.in_c);
+    for (auto& v : pool_in.data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const cnn::RowInterval rows{0, pl.out_h()};
+    const auto run_pool = [&](const cnn::ExecContext& ctx) {
+      return cnn::maxpool_forward_rows(pl, pool_in, 0, rows, ctx);
+    };
+    const bool exact = bit_exact(run_pool(cnn::ExecContext::fast()),
+                                 run_pool(cnn::ExecContext::reference()));
+    all_exact = all_exact && exact;
+    const double pref_s = time_best_s(
+        budget_s, [&] { return run_pool(cnn::ExecContext::reference()); });
+    const double pfast_s = time_best_s(
+        budget_s, [&] { return run_pool(cnn::ExecContext::fast()); });
+    std::printf("maxpool %-8s %dx%dx%d k%d s%d: reference %7.3f ms  fast "
+                "%7.3f ms  speedup %5.2fx  %s\n",
+                pool_models[i], pl.in_h, pl.in_w, pl.in_c, pl.kernel,
+                pl.stride, pref_s * 1e3, pfast_s * 1e3, pref_s / pfast_s,
+                exact ? "bit-exact" : "MISMATCH");
+    std::fprintf(f,
+                 "    {\"model\": \"%s\", \"name\": \"%s\", "
+                 "\"in\": [%d, %d, %d], \"kernel\": %d, \"stride\": %d, "
+                 "\"reference_ms\": %.3f, \"fast_ms\": %.3f, "
+                 "\"speedup\": %.3f, \"bit_exact\": %s}%s\n",
+                 pool_models[i], pl.name.c_str(), pl.in_h, pl.in_w, pl.in_c,
+                 pl.kernel, pl.stride, pref_s * 1e3, pfast_s * 1e3,
+                 pref_s / pfast_s, exact ? "true" : "false",
+                 i + 1 < std::size(pools) ? "," : "");
+  }
+  std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());

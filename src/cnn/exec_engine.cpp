@@ -6,11 +6,13 @@
 // persistent panel, multiply-accumulate in the reference's per-pixel op
 // order. This file owns everything around the kernel: packed-weight
 // caching (locked first-touch, so contexts may be shared across threads),
-// the work-sized fan-out (exec_threads: a conv or fused call too small to
-// repay a pool round-trip runs inline, a larger one gets tiles in
-// proportion to its FLOPs, up to 4 per pool worker), the 2-D (row bands ×
-// oc-block ranges) tile decomposition run across the ThreadPool, the fused
-// conv→relu→maxpool epilogue, and volume chaining.
+// the work-sized fan-out of every layer kind (exec_threads: a conv, pool or
+// fused call too small to repay a pool round-trip runs inline, a larger one
+// gets tiles in proportion to its work, up to 4 per pool worker), the 2-D
+// (row bands × oc-block ranges) tile decomposition run across the
+// ThreadPool, the channel-innermost maxpool loop shared by standalone and
+// fused pooling, the fused conv→relu→maxpool epilogue, and volume chaining
+// through the thread's reused activation buffers.
 //
 // Padding taps are *skipped* exactly like the reference skips them (ky and
 // kx clamp to the in-bounds range), never multiplied in as zeros: x + 0.0f
@@ -87,8 +89,9 @@ KernelTarget kernel_target(const ExecContext& ctx) {
   return {isa, detail::conv_band_fn(isa), detail::kernel_isa_lanes(isa)};
 }
 
-/// Threads' worth of work in a conv or fused call of `ops` FLOPs
-/// (detail::threads_for_work): 1 runs the whole call inline on the calling
+/// Threads' worth of work in a call of `ops` (LayerConfig::ops_for_rows:
+/// FLOPs for conv, comparisons for pool, their sum for a fused pair —
+/// detail::threads_for_work): 1 runs the whole call inline on the calling
 /// thread, no parallel_for round-trip — without a pool or below two
 /// threads' worth. Above that it only sets the tile count (about 4 per
 /// thread); parallel_for still wakes one pool worker per tile, up to the
@@ -124,35 +127,60 @@ const PackedKernel& packed_for(const LayerConfig& l, const ConvWeights& w,
   return slot;
 }
 
-/// Runs the 2-D tile decomposition of one conv call. Tiles write disjoint
-/// (row, channel-block) regions of `dst`; a single-tile plan runs inline on
-/// the calling thread with zero dispatch overhead.
-void run_conv_tiles(const LayerConfig& l, const Tensor& in_crop,
-                    int in_row_offset, RowInterval out_rows,
-                    const PackedKernel& pk, ConvBandFn fn,
-                    const ExecContext& ctx, Tensor& dst, int dst_top) {
-  const auto plan = detail::plan_conv_tiles(
-      out_rows, pk.blocks, exec_threads(ctx, l.ops_for_rows(out_rows.size())));
-  const auto run_tile = [&](int i) {
-    const ConvTile t = plan.tile(i);
-    fn(ConvBandCall{&l, in_crop.data.data(), in_row_offset, t.rows.begin,
-                    t.rows.end, dst_top, t.blk_lo, t.blk_hi, &pk,
-                    dst.data.data()});
-  };
+/// Runs `plan`'s tiles, each writing disjoint bytes of the output: a
+/// single-tile plan inline on the calling thread with zero dispatch
+/// overhead, more across ctx.pool (the caller claims tiles too). Every
+/// layer kind goes through here, sized by exec_threads.
+template <typename TileFn>
+void run_tiles(const detail::ConvTilePlan& plan, const ExecContext& ctx,
+               const TileFn& run_tile) {
   if (plan.count() <= 1) {
-    run_tile(0);
+    run_tile(plan.tile(0));
     return;
   }
   ctx.pool->parallel_for(static_cast<std::size_t>(plan.count()),
-                         [&](std::size_t i) { run_tile(static_cast<int>(i)); });
+                         [&](std::size_t i) {
+                           run_tile(plan.tile(static_cast<int>(i)));
+                         });
+}
+
+/// Max-pools output row `oy` of `l` over channels [ch_lo, ch_hi) into
+/// `drow` (the row's out_w * in_c floats); `in_row(iy)` points at input row
+/// iy. Channel-innermost: each output's channels start at -inf and fold
+/// every in-range (ky, kx) tap in the reference's order with
+/// `d < v ? v : d`, which is std::max(d, v) per channel — NaN taps and ±0
+/// ties resolve exactly as in maxpool_forward_rows — and which GCC emits as
+/// IEEE-exact maxps without fast-math. Seeding from the first tap instead
+/// of -inf would let a NaN first tap through.
+template <typename InRow>
+void maxpool_row(const LayerConfig& l, int oy, const InRow& in_row, int ch_lo,
+                 int ch_hi, float* drow) {
+  const int c = l.in_c;
+  const int y0 = oy * l.stride;
+  const int ky_n = std::min(l.kernel, l.in_h - y0);
+  const int out_w = l.out_w();
+  for (int ox = 0; ox < out_w; ++ox) {
+    float* d = drow + static_cast<std::size_t>(ox) * c;
+    std::fill(d + ch_lo, d + ch_hi, -std::numeric_limits<float>::infinity());
+    const int x0 = ox * l.stride;
+    const int kx_n = std::min(l.kernel, l.in_w - x0);
+    for (int ky = 0; ky < ky_n; ++ky) {
+      const float* tap = in_row(y0 + ky) + static_cast<std::size_t>(x0) * c;
+      for (int kx = 0; kx < kx_n; ++kx, tap += c) {
+        for (int ch = ch_lo; ch < ch_hi; ++ch) {
+          d[ch] = d[ch] < tap[ch] ? tap[ch] : d[ch];
+        }
+      }
+    }
+  }
 }
 
 /// Fused conv→(relu)→maxpool tile: pool output rows `t.rows` × conv packed
 /// blocks [t.blk_lo, t.blk_hi). Conv rows are produced on demand by the
 /// band kernel into the thread's rolling window of pool.kernel rows (slot =
 /// conv row % window height — rows alive together always span less than
-/// one window, so slots never collide), then pooled with exactly the
-/// reference's comparison order over the tile's channel range.
+/// one window, so slots never collide), then pooled over the tile's
+/// channel range by maxpool_row, in the reference's comparison order.
 void conv_pool_tile(const LayerConfig& cl, const LayerConfig& pl,
                     const Tensor& in_crop, int in_row_offset, ConvTile t,
                     int out_top, const PackedKernel& pk, ConvBandFn fn,
@@ -160,15 +188,17 @@ void conv_pool_tile(const LayerConfig& cl, const LayerConfig& pl,
   const int s = pl.stride;
   const int kp = pl.kernel;
   const int conv_h = cl.out_h();
-  const int cw = cl.out_w();
   const int cc = cl.out_c;
-  const int pw = pl.out_w();
-  const std::size_t row_floats = static_cast<std::size_t>(cw) * cc;
+  const std::size_t row_floats = static_cast<std::size_t>(cl.out_w()) * cc;
   BandScratch& scratch = detail::thread_band_scratch();
   float* ring = BandScratch::ensure(scratch.ring,
                                     static_cast<std::size_t>(kp) * row_floats);
+  const auto ring_row = [&](int cy) {
+    return ring + static_cast<std::size_t>(cy % kp) * row_floats;
+  };
   const int ch_lo = t.blk_lo * pk.lanes;
   const int ch_hi = std::min(cc, t.blk_hi * pk.lanes);
+  const std::size_t out_floats = static_cast<std::size_t>(pl.out_w()) * cc;
 
   int next_row = t.rows.begin * s;  // lowest conv row not yet in the window
   for (int oy = t.rows.begin; oy < t.rows.end; ++oy) {
@@ -180,80 +210,10 @@ void conv_pool_tile(const LayerConfig& cl, const LayerConfig& pl,
                       cy - slot, t.blk_lo, t.blk_hi, &pk, ring});
     }
     next_row = std::max(next_row, hi);
-
-    float* drow = &dst.data[static_cast<std::size_t>(oy - out_top) * pw * cc];
-    for (int ox = 0; ox < pw; ++ox) {
-      for (int ch = ch_lo; ch < ch_hi; ++ch) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (int ky = 0; ky < kp; ++ky) {
-          const int iy = oy * s + ky;
-          if (iy >= conv_h) continue;
-          const float* rrow = ring + static_cast<std::size_t>(iy % kp) * row_floats;
-          for (int kx = 0; kx < kp; ++kx) {
-            const int ix = ox * s + kx;
-            if (ix >= cw) continue;
-            best = std::max(best, rrow[static_cast<std::size_t>(ix) * cc + ch]);
-          }
-        }
-        drow[static_cast<std::size_t>(ox) * cc + ch] = best;
-      }
-    }
+    float* drow =
+        dst.data.data() + static_cast<std::size_t>(oy - out_top) * out_floats;
+    maxpool_row(pl, oy, ring_row, ch_lo, ch_hi, drow);
   }
-}
-
-/// Fast maxpool of `band` into `out` (row 0 == absolute row `out_top`).
-/// Identical comparisons in identical order as maxpool_forward_rows.
-void maxpool_band(const LayerConfig& l, const Tensor& in_crop,
-                  int in_row_offset, RowInterval band, int out_top,
-                  Tensor& out) {
-  const int out_w = l.out_w();
-  for (int oy = band.begin; oy < band.end; ++oy) {
-    for (int ox = 0; ox < out_w; ++ox) {
-      for (int ch = 0; ch < l.in_c; ++ch) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (int ky = 0; ky < l.kernel; ++ky) {
-          const int iy = oy * l.stride + ky;
-          if (iy >= l.in_h) continue;
-          const int cy = iy - in_row_offset;
-          for (int kx = 0; kx < l.kernel; ++kx) {
-            const int ix = ox * l.stride + kx;
-            if (ix >= l.in_w) continue;
-            best = std::max(best, in_crop.at(cy, ix, ch));
-          }
-        }
-        out.at(oy - out_top, ox, ch) = best;
-      }
-    }
-  }
-}
-
-/// Splits `rows` output rows into bands for `ctx.pool` (pool layers — no
-/// channel-block dimension to tile). A few bands per worker lets the pool's
-/// dynamic chunking absorb uneven band cost. Not sized by threads_for_work:
-/// a scalar maxpool comparison costs far more wall time than a kernel FLOP,
-/// so even small pool calls repay the fan-out (DESIGN.md §Execution engine).
-int band_count(const ExecContext& ctx, int rows) {
-  if (ctx.pool == nullptr || ctx.pool->size() <= 1) return 1;
-  return std::min(rows, static_cast<int>(ctx.pool->size()) * 4);
-}
-
-RowInterval band_of(RowInterval out_rows, int b, int nb) {
-  const int rows = out_rows.size();
-  return RowInterval{out_rows.begin + rows * b / nb,
-                     out_rows.begin + rows * (b + 1) / nb};
-}
-
-template <typename BandFn>
-void run_banded(const ExecContext& ctx, RowInterval out_rows,
-                const BandFn& fn) {
-  const int nb = band_count(ctx, out_rows.size());
-  if (nb <= 1) {
-    fn(out_rows);
-    return;
-  }
-  ctx.pool->parallel_for(static_cast<std::size_t>(nb), [&](std::size_t b) {
-    fn(band_of(out_rows, static_cast<int>(b), nb));
-  });
 }
 
 void require_crop_covers(const LayerConfig& layer, const Tensor& in_crop,
@@ -295,14 +255,10 @@ Tensor conv_forward_rows(const LayerConfig& layer, const Tensor& in_crop,
   if (ctx.engine == ExecEngine::kReference) {
     return conv_forward_rows(layer, in_crop, in_row_offset, out_rows, w);
   }
-  DE_REQUIRE(layer.kind == LayerKind::kConv, "conv_forward_rows on non-conv");
-  require_crop_covers(layer, in_crop, in_row_offset, out_rows);
-
+  DE_REQUIRE(!out_rows.empty(), "empty output interval");
   Tensor out(out_rows.size(), layer.out_w(), layer.out_c);
-  const KernelTarget target = kernel_target(ctx);
-  const PackedKernel& pk = packed_for(layer, w, ctx, target.lanes);
-  run_conv_tiles(layer, in_crop, in_row_offset, out_rows, pk, target.fn, ctx,
-                 out, out_rows.begin);
+  conv_forward_rows_into(layer, in_crop, in_row_offset, out_rows, w, ctx, out,
+                         out_rows.begin);
   return out;
 }
 
@@ -312,14 +268,10 @@ Tensor maxpool_forward_rows(const LayerConfig& layer, const Tensor& in_crop,
   if (ctx.engine == ExecEngine::kReference) {
     return maxpool_forward_rows(layer, in_crop, in_row_offset, out_rows);
   }
-  DE_REQUIRE(layer.kind == LayerKind::kMaxPool,
-             "maxpool_forward_rows on non-pool");
-  require_crop_covers(layer, in_crop, in_row_offset, out_rows);
-
+  DE_REQUIRE(!out_rows.empty(), "empty output interval");
   Tensor out(out_rows.size(), layer.out_w(), layer.out_c);
-  run_banded(ctx, out_rows, [&](RowInterval band) {
-    maxpool_band(layer, in_crop, in_row_offset, band, out_rows.begin, out);
-  });
+  maxpool_forward_rows_into(layer, in_crop, in_row_offset, out_rows, ctx, out,
+                            out_rows.begin);
   return out;
 }
 
@@ -338,8 +290,14 @@ void conv_forward_rows_into(const LayerConfig& layer, const Tensor& in_crop,
   require_crop_covers(layer, in_crop, in_row_offset, out_rows);
   const KernelTarget target = kernel_target(ctx);
   const PackedKernel& pk = packed_for(layer, w, ctx, target.lanes);
-  run_conv_tiles(layer, in_crop, in_row_offset, out_rows, pk, target.fn, ctx,
-                 dst, dst_top);
+  const auto plan = detail::plan_conv_tiles(
+      out_rows, pk.blocks,
+      exec_threads(ctx, layer.ops_for_rows(out_rows.size())));
+  run_tiles(plan, ctx, [&](ConvTile t) {
+    target.fn(ConvBandCall{&layer, in_crop.data.data(), in_row_offset,
+                           t.rows.begin, t.rows.end, dst_top, t.blk_lo,
+                           t.blk_hi, &pk, dst.data.data()});
+  });
 }
 
 void maxpool_forward_rows_into(const LayerConfig& layer, const Tensor& in_crop,
@@ -356,8 +314,23 @@ void maxpool_forward_rows_into(const LayerConfig& layer, const Tensor& in_crop,
   DE_REQUIRE(layer.kind == LayerKind::kMaxPool,
              "maxpool_forward_rows on non-pool");
   require_crop_covers(layer, in_crop, in_row_offset, out_rows);
-  run_banded(ctx, out_rows, [&](RowInterval band) {
-    maxpool_band(layer, in_crop, in_row_offset, band, dst_top, dst);
+  const std::size_t in_floats =
+      static_cast<std::size_t>(layer.in_w) * layer.in_c;
+  const std::size_t out_floats =
+      static_cast<std::size_t>(layer.out_w()) * layer.out_c;
+  const auto in_row = [&](int iy) {
+    return in_crop.data.data() +
+           static_cast<std::size_t>(iy - in_row_offset) * in_floats;
+  };
+  // One channel block: pool tiles are row bands only.
+  const auto plan = detail::plan_conv_tiles(
+      out_rows, 1, exec_threads(ctx, layer.ops_for_rows(out_rows.size())));
+  run_tiles(plan, ctx, [&](ConvTile t) {
+    for (int oy = t.rows.begin; oy < t.rows.end; ++oy) {
+      maxpool_row(layer, oy, in_row, 0, layer.in_c,
+                  dst.data.data() +
+                      static_cast<std::size_t>(oy - dst_top) * out_floats);
+    }
   });
 }
 
@@ -390,18 +363,12 @@ void conv_pool_forward_rows_into(const LayerConfig& conv,
   const PackedKernel& pk = packed_for(conv, w, ctx, target.lanes);
   const Ops ops =
       conv.ops_for_rows(conv_rows.size()) + pool.ops_for_rows(out_rows.size());
-  const auto plan =
-      detail::plan_conv_tiles(out_rows, pk.blocks, exec_threads(ctx, ops));
-  const auto run_tile = [&](int i) {
-    conv_pool_tile(conv, pool, in_crop, in_row_offset, plan.tile(i), dst_top,
-                   pk, target.fn, dst);
-  };
-  if (plan.count() <= 1) {
-    run_tile(0);
-    return;
-  }
-  ctx.pool->parallel_for(static_cast<std::size_t>(plan.count()),
-                         [&](std::size_t i) { run_tile(static_cast<int>(i)); });
+  run_tiles(
+      detail::plan_conv_tiles(out_rows, pk.blocks, exec_threads(ctx, ops)),
+      ctx, [&](ConvTile t) {
+        conv_pool_tile(conv, pool, in_crop, in_row_offset, t, dst_top, pk,
+                       target.fn, dst);
+      });
 }
 
 Tensor conv_pool_forward_rows(const LayerConfig& conv, const LayerConfig& pool,
@@ -430,43 +397,41 @@ void volume_forward_rows_into(std::span<const LayerConfig> volume,
     copy_band(band, last_out.begin, last_out, dst, dst_top);
     return;
   }
-  const auto per_layer = per_layer_output_rows(volume, last_out);
-
-  // The first layer reads the caller's crop in place; only intermediate
-  // layers own their activations, and the last lands in `dst` — the volume
-  // adds zero copies of its own. Conv layers whose entire output feeds the
-  // next maxpool are fused: the conv activation is never materialized at
-  // all (see conv_pool_forward_rows).
+  // The first layer reads the caller's crop in place and the last lands in
+  // `dst`; the layers between alternate between the calling thread's two
+  // activation buffers, which grow to the largest band seen and are never
+  // zero-filled — each layer overwrites every float the next one reads.
+  // Conv layers whose entire output feeds the next maxpool are fused: that
+  // conv activation is never materialized at all (conv_pool_forward_rows).
+  BandScratch& scratch = detail::thread_band_scratch();
+  std::vector<RowInterval>& per_layer = scratch.rows;
+  per_layer.resize(volume.size());
+  per_layer_output_rows(volume, last_out, per_layer);
   const Tensor* cur = &in_crop;
-  Tensor held;
   int offset = in_row_offset;
-  std::size_t i = 0;
-  for (;;) {
+  int buf = 0;  // the activation buffer the next intermediate layer fills
+  for (std::size_t i = 0; i < volume.size();) {
     const bool fuse = ctx.fuse_conv_pool && i + 1 < volume.size() &&
                       can_fuse_conv_pool(volume[i], volume[i + 1]);
     const std::size_t last_i = fuse ? i + 1 : i;
-    if (last_i + 1 == volume.size()) {
-      if (fuse) {
-        conv_pool_forward_rows_into(volume[i], volume[i + 1], *cur, offset,
-                                    last_out, weights[i], ctx, dst, dst_top);
-      } else if (volume[i].kind == LayerKind::kConv) {
-        conv_forward_rows_into(volume[i], *cur, offset, last_out, weights[i],
-                               ctx, dst, dst_top);
-      } else {
-        maxpool_forward_rows_into(volume[i], *cur, offset, last_out, ctx, dst,
-                                  dst_top);
-      }
-      return;
+    const bool last = last_i + 1 == volume.size();
+    const LayerConfig& l = volume[last_i];
+    const RowInterval rows = per_layer[last_i];
+    Tensor& out =
+        last ? dst : scratch.activation(buf, rows.size(), l.out_w(), l.out_c);
+    const int out_top = last ? dst_top : rows.begin;
+    if (fuse) {
+      conv_pool_forward_rows_into(volume[i], l, *cur, offset, rows, weights[i],
+                                  ctx, out, out_top);
+    } else if (l.kind == LayerKind::kConv) {
+      conv_forward_rows_into(l, *cur, offset, rows, weights[i], ctx, out,
+                             out_top);
+    } else {
+      maxpool_forward_rows_into(l, *cur, offset, rows, ctx, out, out_top);
     }
-    const RowInterval out_rows = per_layer[last_i];
-    held = fuse ? conv_pool_forward_rows(volume[i], volume[i + 1], *cur,
-                                         offset, out_rows, weights[i], ctx)
-           : volume[i].kind == LayerKind::kConv
-               ? conv_forward_rows(volume[i], *cur, offset, out_rows,
-                                   weights[i], ctx)
-               : maxpool_forward_rows(volume[i], *cur, offset, out_rows, ctx);
-    cur = &held;
-    offset = out_rows.begin;
+    cur = &out;
+    offset = rows.begin;
+    buf ^= 1;
     i = last_i + 1;
   }
 }

@@ -14,18 +14,21 @@
 // output pixels / channels, which share no accumulator.
 //
 // Parallelism is a 2-D tiling: output rows × output-channel block ranges
-// partition each call into tiles run across a ThreadPool. A conv or fused
-// call below two detail::kMinOpsPerThread of FLOPs runs inline on the
+// partition each call into tiles run across a ThreadPool (a standalone pool
+// call into row bands only). A conv, pool or fused call below two
+// detail::kMinOpsPerThread of work (FLOPs, comparisons) runs inline on the
 // calling thread; a larger one gets about 4 tiles per kMinOpsPerThread, up
 // to 4 per pool worker. Tiles write disjoint bytes, so threading cannot
 // change results either. The multiply-accumulate micro-kernel is selected
 // once per process from cpuid
 // (generic scalar / SSE2 / AVX2 / AVX-512 — see kernel_isa.hpp), every
 // target bit-exact by the same argument: lane width is packing layout, and
-// no target uses FMA contraction. A fused conv→ReLU→maxpool epilogue
-// computes pooling from a rolling window of conv rows without materializing
-// the conv tensor; the pooled result is bitwise the same because max over
-// identical values in identical order is. DESIGN.md §execution-engine has
+// no target uses FMA contraction. Maxpool runs channel-innermost (the
+// compiler vectorizes it) yet keeps every output's comparison order, so NaN
+// and ±0 ties resolve as in the reference. A fused conv→ReLU→maxpool
+// epilogue computes pooling from a rolling window of conv rows without
+// materializing the conv tensor; the pooled result is bitwise the same
+// because max over identical values in identical order is. DESIGN.md §execution-engine has
 // the full argument.
 #pragma once
 
@@ -77,9 +80,9 @@ class ExecCache {
 /// pool to spread tiles across, an optional packed-weight cache, which ISA
 /// micro-kernel (kAuto = the process default from cpuid / DE_KERNEL_ISA),
 /// and whether volume execution may fuse conv→relu→pool pairs. A null pool
-/// runs the fast kernel single-threaded, and so does a conv or fused call
-/// too small to repay a pool round-trip; the reference engine never
-/// threads, never packs, never fuses.
+/// runs the fast kernel single-threaded, and so does any call too small to
+/// repay a pool round-trip; the reference engine never threads, never
+/// packs, never fuses.
 struct ExecContext {
   ExecEngine engine = ExecEngine::kReference;
   ThreadPool* pool = nullptr;  ///< not owned; tile parallelism when set
@@ -163,7 +166,7 @@ void conv_pool_forward_rows_into(const LayerConfig& conv,
                                  Tensor& dst, int dst_top);
 
 /// Process-wide count of fast-path scratch buffer growths (panel / packed /
-/// fused-window, across all threads). Steady state is flat: once every
+/// fused-window / volume activations, across all threads). Steady state is flat: once every
 /// participating thread has executed a given geometry, repeated calls must
 /// not move this counter (asserted in the banded-equivalence test — the
 /// engine-side analogue of the data plane's frame_allocs).

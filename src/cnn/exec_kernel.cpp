@@ -20,6 +20,15 @@ float* BandScratch::ensure(std::vector<float>& v, std::size_t n) {
   return v.data();
 }
 
+Tensor& BandScratch::activation(int i, int h, int w, int c) {
+  Tensor& t = act[i];
+  ensure(t.data, static_cast<std::size_t>(h) * w * c);
+  t.h = h;
+  t.w = w;
+  t.c = c;
+  return t;
+}
+
 BandScratch& thread_band_scratch() {
   thread_local BandScratch scratch;
   return scratch;

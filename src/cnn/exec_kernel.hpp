@@ -61,10 +61,17 @@ struct BandScratch {
   std::vector<float> panel;  ///< gathered patch tile (kOxTile columns)
   std::vector<float> ring;   ///< fused conv→pool rolling conv-row window
   PackedKernel pack;         ///< fallback pack when the context has no cache
+  Tensor act[2];  ///< volume walk's intermediate layers, alternating
+  std::vector<RowInterval> rows;  ///< volume walk's per-layer output rows
 
   /// Grows `v` to at least `n` floats; counts a scratch growth when the
   /// capacity actually changes.
   static float* ensure(std::vector<float>& v, std::size_t n);
+
+  /// act[i] with extents h × w × c. Its data grows through ensure() and is
+  /// never shrunk or zero-filled again, so it may hold more than h * w * c
+  /// floats; only the first h * w * c belong to the activation.
+  Tensor& activation(int i, int h, int w, int c);
 };
 
 /// The calling thread's scratch (created on first use).
@@ -141,18 +148,19 @@ struct ConvTilePlan {
 /// one tile.
 ConvTilePlan plan_conv_tiles(RowInterval out_rows, int blocks, int threads);
 
-/// FLOPs (LayerConfig::ops_for_rows) of one thread's worth of conv work.
-/// A call under two of these costs less to run inline than the wake-up,
-/// claim and join round-trip of a pool its co-located providers contend
-/// for (DESIGN.md §Execution engine has the measurements behind the value).
+/// Work (LayerConfig::ops_for_rows: conv FLOPs, pool comparisons) of one
+/// thread's worth. A call under two of these costs less to run inline than
+/// the wake-up, claim and join round-trip of a pool its co-located
+/// providers contend for (DESIGN.md §Execution engine has the measurements
+/// behind the value).
 inline constexpr Ops kMinOpsPerThread = 1'000'000;
 
-/// Threads' worth of work in a conv or fused call of `ops` FLOPs on a pool
-/// of `pool_size`: clamp(ops / kMinOpsPerThread, 1, pool_size). 1 runs the
-/// call inline on the calling thread. Never exceeds max(pool_size, 1) and
-/// never decreases as `ops` grows. The engine passes it to plan_conv_tiles,
-/// so above 1 it sets the tile count only: ThreadPool::parallel_for still
-/// wakes one worker per tile, up to the whole pool.
+/// Threads' worth of work in a call of `ops` on a pool of `pool_size`:
+/// clamp(ops / kMinOpsPerThread, 1, pool_size). 1 runs the call inline on
+/// the calling thread. Never exceeds max(pool_size, 1) and never decreases
+/// as `ops` grows. The engine passes it to plan_conv_tiles, so above 1 it
+/// sets the tile count only: ThreadPool::parallel_for still wakes one
+/// worker per tile, up to the whole pool.
 int threads_for_work(Ops ops, int pool_size);
 
 }  // namespace de::cnn::detail

@@ -44,8 +44,15 @@ int vsl_input_height(std::span<const LayerConfig> volume, int out_h_last) {
 
 std::vector<RowInterval> per_layer_output_rows(std::span<const LayerConfig> volume,
                                                RowInterval last_out) {
-  DE_REQUIRE(!volume.empty(), "empty volume");
   std::vector<RowInterval> out(volume.size());
+  per_layer_output_rows(volume, last_out, out);
+  return out;
+}
+
+void per_layer_output_rows(std::span<const LayerConfig> volume,
+                           RowInterval last_out, std::span<RowInterval> out) {
+  DE_REQUIRE(!volume.empty(), "empty volume");
+  DE_REQUIRE(out.size() == volume.size(), "one output interval per layer");
   RowInterval cur = last_out;
   for (std::size_t i = volume.size(); i-- > 0;) {
     out[i] = cur;
@@ -56,7 +63,6 @@ std::vector<RowInterval> per_layer_output_rows(std::span<const LayerConfig> volu
                 "propagated interval exceeds producer extent");
     }
   }
-  return out;
 }
 
 RowInterval required_input_rows(std::span<const LayerConfig> volume,

@@ -13,6 +13,7 @@
 #include <shared_mutex>
 
 #include "common/require.hpp"
+#include "rpc/tcp_transport.hpp"
 
 namespace de::obs {
 
@@ -100,7 +101,7 @@ AdminServer::AdminServer(std::uint16_t port) {
   addr.sin_port = htons(port);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
-      ::listen(listen_fd_, 16) != 0) {
+      ::listen(listen_fd_, rpc::kDefaultBacklog) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     throw Error("admin: cannot bind loopback listener");

@@ -1,15 +1,19 @@
 // Reference-oracle conformance suite for the fast execution engine: every
-// tensor the fast path produces must be bit-identical (ASSERT_EQ on floats,
-// no tolerance) to the reference scalar path — across every distinct conv
-// layer configuration in the model zoo, across randomized layer geometries,
+// tensor the fast path produces must be bit-identical (the same bit
+// patterns, so -0.0 is not +0.0 and a NaN must match a NaN; no tolerance)
+// to the reference scalar path — across every distinct conv and pool layer
+// configuration in the model zoo, across randomized layer geometries,
 // across degenerate row bands (1-row intervals, boundary rows, slack crops),
-// with and without ThreadPool tiling, for EVERY ISA dispatch target this
-// host supports (generic / SSE2 / AVX2 / AVX-512), and with the fused
-// conv→relu→maxpool epilogue on and off.
+// across pool windows whose maximum only the comparison order decides
+// (+0.0, -0.0, NaN, -inf), with and without ThreadPool tiling, for EVERY
+// ISA dispatch target this host supports (generic / SSE2 / AVX2 / AVX-512),
+// and with the fused conv→relu→maxpool epilogue on and off.
 #include "cnn/exec_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <latch>
 #include <limits>
 #include <map>
@@ -21,6 +25,7 @@
 #include "cnn/model_zoo.hpp"
 #include "common/require.hpp"
 #include "device/latency_model.hpp"
+#include "obs/trace.hpp"
 
 namespace de::cnn {
 namespace {
@@ -31,14 +36,18 @@ Tensor random_tensor(int h, int w, int c, Rng& rng) {
   return t;
 }
 
+/// Same extents and the same bit pattern in every float: a float compare
+/// would equate -0.0 with +0.0 and could never match a NaN.
 void expect_bitexact(const Tensor& got, const Tensor& want,
                      const std::string& what) {
   ASSERT_EQ(got.h, want.h) << what;
   ASSERT_EQ(got.w, want.w) << what;
   ASSERT_EQ(got.c, want.c) << what;
   for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got.data[i], want.data[i])
-        << what << " — flat index " << i << " of " << want.size();
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data[i]),
+              std::bit_cast<std::uint32_t>(want.data[i]))
+        << what << " — flat index " << i << " of " << want.size() << ": got "
+        << got.data[i] << ", want " << want.data[i];
   }
 }
 
@@ -123,8 +132,9 @@ void check_conv_rows(const LayerConfig& l, RowInterval out_rows, Rng& rng,
 /// two-layer reference chain — per ISA, serial and tiled, plus the fast
 /// unfused path (ctx.fuse_conv_pool = false) as a third witness. As in
 /// check_conv_rows, a tiled check must fan out.
-void check_conv_pool_rows(const LayerConfig& conv, const LayerConfig& pool_l,
-                          RowInterval out_rows, Rng& rng, ThreadPool* pool,
+void check_conv_pool_crop(const LayerConfig& conv, const LayerConfig& pool_l,
+                          const Tensor& crop, int offset, const ConvWeights& w,
+                          RowInterval out_rows, ThreadPool* pool,
                           const std::string& what) {
   ASSERT_TRUE(can_fuse_conv_pool(conv, pool_l)) << what;
   if (pool != nullptr) {
@@ -132,27 +142,21 @@ void check_conv_pool_rows(const LayerConfig& conv, const LayerConfig& pool_l,
         << what << " is too small to fan out";
   }
   const RowInterval conv_rows = input_rows_for(pool_l, out_rows);
-  const auto need = input_rows_for(conv, conv_rows);
-  const auto crop =
-      random_tensor(std::max(1, need.size()), conv.in_w, conv.in_c, rng);
-  const auto w = ConvWeights::random(conv, rng);
-
-  const auto conv_ref =
-      conv_forward_rows(conv, crop, need.begin, conv_rows, w);
+  const auto conv_ref = conv_forward_rows(conv, crop, offset, conv_rows, w);
   const auto ref =
       maxpool_forward_rows(pool_l, conv_ref, conv_rows.begin, out_rows);
 
   for (const KernelIsa isa : supported_kernel_isas()) {
     ExecContext ctx = ExecContext::fast();
     ctx.isa = isa;
-    expect_bitexact(conv_pool_forward_rows(conv, pool_l, crop, need.begin,
-                                           out_rows, w, ctx),
-                    ref, what + " fused serial [" + to_string(isa) + "]");
+    expect_bitexact(
+        conv_pool_forward_rows(conv, pool_l, crop, offset, out_rows, w, ctx),
+        ref, what + " fused serial [" + to_string(isa) + "]");
     if (pool != nullptr) {
       ctx.pool = pool;
-      expect_bitexact(conv_pool_forward_rows(conv, pool_l, crop, need.begin,
-                                             out_rows, w, ctx),
-                      ref, what + " fused tiled [" + to_string(isa) + "]");
+      expect_bitexact(
+          conv_pool_forward_rows(conv, pool_l, crop, offset, out_rows, w, ctx),
+          ref, what + " fused tiled [" + to_string(isa) + "]");
     }
   }
   // The volume path with fusion disabled must agree too (same layers run as
@@ -161,13 +165,72 @@ void check_conv_pool_rows(const LayerConfig& conv, const LayerConfig& pool_l,
   const ConvWeights wts[] = {w, ConvWeights{}};
   ExecContext unfused = ExecContext::fast(pool);
   unfused.fuse_conv_pool = false;
-  expect_bitexact(volume_forward_rows(layers, crop, need.begin, out_rows, wts,
-                                      unfused),
-                  ref, what + " unfused volume");
+  expect_bitexact(
+      volume_forward_rows(layers, crop, offset, out_rows, wts, unfused), ref,
+      what + " unfused volume");
   ExecContext fused = ExecContext::fast(pool);
-  expect_bitexact(volume_forward_rows(layers, crop, need.begin, out_rows, wts,
-                                      fused),
-                  ref, what + " fused volume");
+  expect_bitexact(
+      volume_forward_rows(layers, crop, offset, out_rows, wts, fused), ref,
+      what + " fused volume");
+}
+
+/// check_conv_pool_crop on a random minimal crop and random weights.
+void check_conv_pool_rows(const LayerConfig& conv, const LayerConfig& pool_l,
+                          RowInterval out_rows, Rng& rng, ThreadPool* pool,
+                          const std::string& what) {
+  const auto need = input_rows_for(conv, input_rows_for(pool_l, out_rows));
+  const auto crop =
+      random_tensor(std::max(1, need.size()), conv.in_w, conv.in_c, rng);
+  const auto w = ConvWeights::random(conv, rng);
+  check_conv_pool_crop(conv, pool_l, crop, need.begin, w, out_rows, pool,
+                       what);
+}
+
+/// Standalone maxpool over `out_rows` against the reference, per ISA
+/// (dispatch must not reach pooling), serially and — when `pool` is set,
+/// and the call must then fan out — tiled.
+void check_pool_rows(const LayerConfig& l, const Tensor& crop, int offset,
+                     RowInterval out_rows, ThreadPool* pool,
+                     const std::string& what) {
+  if (pool != nullptr) {
+    ASSERT_GT(work_threads(l.ops_for_rows(out_rows.size()), *pool), 1)
+        << what << " is too small to fan out";
+  }
+  const auto ref = maxpool_forward_rows(l, crop, offset, out_rows);
+  for (const KernelIsa isa : supported_kernel_isas()) {
+    ExecContext ctx = ExecContext::fast();
+    ctx.isa = isa;
+    expect_bitexact(maxpool_forward_rows(l, crop, offset, out_rows, ctx), ref,
+                    what + " serial [" + to_string(isa) + "]");
+    if (pool != nullptr) {
+      ctx.pool = pool;
+      expect_bitexact(maxpool_forward_rows(l, crop, offset, out_rows, ctx),
+                      ref, what + " tiled [" + to_string(isa) + "]");
+    }
+  }
+}
+
+/// The values a max over them decides by comparison order alone:
+/// std::max(best, v) keeps the first of +0.0 and -0.0 and never picks a
+/// NaN, and -inf is where every window's fold starts.
+const float kTies[] = {+0.0f, -0.0f, std::numeric_limits<float>::quiet_NaN(),
+                       -std::numeric_limits<float>::infinity()};
+
+Tensor ties_tensor(int h, int w, int c, Rng& rng) {
+  Tensor t(h, w, c);
+  for (auto& v : t.data) v = kTies[rng.uniform_int(0, 3)];
+  return t;
+}
+
+/// The smallest odd input extent from `k` up at which `make(extent)`, a
+/// layer or pair of that square input, carries `ops_of(layer)` of about
+/// three threads' worth on a ThreadPool(3), like fanout_in_c.
+template <typename Make, typename OpsOf>
+auto grow_to_fanout(int k, const Make& make, const OpsOf& ops_of) {
+  for (int extent = k | 1;; extent += 2) {
+    const auto made = make(extent);
+    if (ops_of(made) >= 16 * detail::kMinOpsPerThread / 5) return made;
+  }
 }
 
 // Every distinct conv configuration that appears anywhere in the paper's
@@ -204,7 +267,8 @@ TEST(ExecEngineZoo, EveryConvConfigBitExact) {
   EXPECT_GT(tiled * 10, configs.size() * 9);  // nearly every layer tiles
 }
 
-// Zoo pooling configs, same treatment (the fast pool path threads too).
+// Zoo pooling configs on a 3-row band. Bands this small run inline under the
+// fan-out rule; PoolTiesResolveLikeTheReference below checks tiled pools.
 TEST(ExecEngineZoo, EveryPoolConfigBitExact) {
   ThreadPool pool(3);
   Rng rng(77);
@@ -226,6 +290,81 @@ TEST(ExecEngineZoo, EveryPoolConfigBitExact) {
     expect_bitexact(maxpool_forward_rows(l, crop, need.begin, out_rows,
                                          ExecContext::fast(&pool)),
                     ref, sig);
+  }
+}
+
+// Pool windows whose maximum only the comparison order decides: every
+// order of +0.0, -0.0, NaN and -inf in a 2x2 window (channel ch's four taps
+// are the base-4 digits of ch), then random mixes under 2x2 s2 and the
+// overlapping 3x3 s2 at 19 channels (off every vector width) — whole calls
+// sized to fan out, and single first and last rows inline.
+TEST(ExecEngineBitwise, PoolTiesResolveLikeTheReference) {
+  ThreadPool pool(3);
+  Rng rng(404);
+  const auto every_order = LayerConfig::maxpool(2, 2, 256, 2, 2);
+  Tensor orders(2, 2, 256);
+  for (int ch = 0; ch < 256; ++ch) {
+    for (int tap = 0; tap < 4; ++tap) {
+      orders.at(tap / 2, tap % 2, ch) = kTies[(ch >> (2 * tap)) & 3];
+    }
+  }
+  check_pool_rows(every_order, orders, 0, RowInterval{0, 1}, nullptr,
+                  "every 2x2 order");
+
+  for (const auto& [k, s] : {std::pair{2, 2}, std::pair{3, 2}}) {
+    const auto l = grow_to_fanout(
+        k, [&](int in) { return LayerConfig::maxpool(in, in, 19, k, s); },
+        [](const LayerConfig& pl) { return pl.ops(); });
+    const auto in = ties_tensor(l.in_h, l.in_w, l.in_c, rng);
+    const int out_h = l.out_h();
+    const std::string what = "ties " + std::to_string(l.in_h) + "^2 k" +
+                             std::to_string(k) + " s" + std::to_string(s);
+    check_pool_rows(l, in, 0, RowInterval{0, out_h}, &pool, what + " whole");
+    check_pool_rows(l, in, 0, RowInterval{0, 1}, nullptr, what + " first-row");
+    check_pool_rows(l, in, 0, RowInterval{out_h - 1, out_h}, nullptr,
+                    what + " last-row");
+  }
+}
+
+// The same ties through the fused epilogue: a 1x1, in_c 1, relu-off conv
+// with unit weights and a -0.0 bias passes its input through bit for bit
+// (-0.0 + x * 1.0 is x for ±0, NaN and -inf alike), so its pool sees the
+// drawn ties — checked fused and unfused, serial and tiled, on every ISA.
+TEST(ExecEngineBitwise, FusedPoolTiesResolveLikeTheReference) {
+  ThreadPool pool(3);
+  Rng rng(405);
+  constexpr int kChannels = 19;
+  ConvWeights unit;
+  unit.weights.assign(kChannels, 1.0f);
+  unit.bias.assign(kChannels, -0.0f);
+  for (const auto& [k, s] : {std::pair{2, 2}, std::pair{3, 2}}) {
+    const auto [conv, pl] = grow_to_fanout(
+        k,
+        [&](int in) {
+          const auto c = LayerConfig::conv(in, in, 1, kChannels, 1, 1, 0,
+                                           /*relu=*/false);
+          return std::pair{c, LayerConfig::maxpool(in, in, kChannels, k, s)};
+        },
+        [](const auto& p) {
+          return fused_ops(p.first, p.second, RowInterval{0, p.second.out_h()});
+        });
+    const auto in = ties_tensor(conv.in_h, conv.in_w, 1, rng);
+    const auto passed = conv_forward(conv, in, unit);
+    for (std::size_t i = 0; i < passed.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(passed.data[i]),
+                std::bit_cast<std::uint32_t>(in.data[i / kChannels]))
+          << "the unit conv changed its input at flat index " << i;
+    }
+    const int out_h = pl.out_h();
+    const std::string what = "fused ties " + std::to_string(conv.in_h) +
+                             "^2 k" + std::to_string(k) + " s" +
+                             std::to_string(s);
+    check_conv_pool_crop(conv, pl, in, 0, unit, RowInterval{0, out_h}, &pool,
+                         what + " whole");
+    check_conv_pool_crop(conv, pl, in, 0, unit, RowInterval{0, 1}, nullptr,
+                         what + " first-row");
+    check_conv_pool_crop(conv, pl, in, 0, unit, RowInterval{out_h - 1, out_h},
+                         nullptr, what + " last-row");
   }
 }
 
@@ -751,6 +890,40 @@ TEST(ExecEngineTiles, SmallCallsRunInlineLargeCallsFanOut) {
   EXPECT_TRUE(fanned_out) << "a large call never reached a pool worker";
 }
 
+// Standalone pool calls follow the same rule, on comparisons: edgenet's
+// first pool (80x80x48 k2 s2, 307K comparisons whole) runs inline, while a
+// 224x224x64 k2 s2 pool (3.2M) fans out into its row-band plan. Observed
+// through the flight recorder: parallel_for records one kPoolTask span per
+// claimed tile, and an inline call records none.
+TEST(ExecEngineTiles, PoolCallsFollowTheRule) {
+  ThreadPool pool(3);
+  Rng rng(8);
+  const auto pool_tasks = [&](const LayerConfig& l) {
+    const auto in = random_tensor(l.in_h, l.in_w, l.in_c, rng);
+    auto& recorder = obs::TraceRecorder::instance();
+    recorder.enable();
+    (void)maxpool_forward_rows(l, in, 0, RowInterval{0, l.out_h()},
+                               ExecContext::fast(&pool));
+    const auto dump = recorder.snapshot();
+    recorder.disable();
+    int tasks = 0;
+    for (const auto& thread : dump.threads) {
+      for (const auto& ev : thread.events) {
+        tasks += ev.cat == static_cast<std::uint16_t>(obs::Cat::kPoolTask);
+      }
+    }
+    return tasks;
+  };
+  const auto small = LayerConfig::maxpool(80, 80, 48, 2, 2);
+  const auto large = LayerConfig::maxpool(224, 224, 64, 2, 2);
+  ASSERT_EQ(work_threads(small.ops(), pool), 1);
+  ASSERT_EQ(work_threads(large.ops(), pool), 3);
+  EXPECT_EQ(pool_tasks(small), 0) << "a small pool call left the caller";
+  EXPECT_EQ(pool_tasks(large),
+            detail::plan_conv_tiles(RowInterval{0, large.out_h()}, 1, 3)
+                .count());
+}
+
 // Steady-state flatness: once every participating thread has executed a
 // geometry, repeated banded and fused calls must never touch the allocator
 // for scratch (the engine-side analogue of the data plane's frame_allocs
@@ -772,6 +945,29 @@ TEST(ExecEngineScratch, SteadyStateAllocFlat) {
   ExecContext ctx = ExecContext::fast(&pool);
   ctx.cache = &cache;
 
+  // A conv → pool → conv volume walked band by band into one part tensor,
+  // fused (conv+pool into one activation buffer, then conv into the part)
+  // and unfused (each layer in turn, through both buffers): the walk's
+  // intermediate layers live in the thread's scratch too.
+  const auto head = LayerConfig::conv(pl.out_w(), pl.out_h(), pl.out_c, 16, 3,
+                                      1, 1);
+  const LayerConfig volume[] = {conv, pl, head};
+  const ConvWeights volume_w[] = {w, ConvWeights{},
+                                  ConvWeights::random(head, rng)};
+  const int part_h = head.out_h();
+  Tensor part(part_h, head.out_w(), head.out_c);
+  const auto walk = [&](const ExecContext& base) {
+    for (const bool fuse : {true, false}) {
+      ExecContext walk_ctx = base;
+      walk_ctx.fuse_conv_pool = fuse;
+      for (const RowInterval band : {RowInterval{0, part_h / 3},
+                                     RowInterval{part_h / 3, part_h}}) {
+        volume_forward_rows_into(volume, crop, 0, band, volume_w, walk_ctx,
+                                 part, 0);
+      }
+    }
+  };
+
   const auto warm_one = [&] {
     ExecContext serial = ctx;
     serial.pool = nullptr;  // inline: warms exactly the calling thread
@@ -779,6 +975,7 @@ TEST(ExecEngineScratch, SteadyStateAllocFlat) {
                             serial);
     (void)conv_pool_forward_rows(conv, pl, crop, 0, RowInterval{0, pl.out_h()},
                                  w, serial);
+    walk(serial);
   };
   std::latch ready(static_cast<std::ptrdiff_t>(pool.size()));
   std::latch go(1);
@@ -801,6 +998,7 @@ TEST(ExecEngineScratch, SteadyStateAllocFlat) {
                             ctx);
     (void)conv_pool_forward_rows(conv, pl, crop, 0, RowInterval{0, pl.out_h()},
                                  w, ctx);
+    walk(ctx);
   }
   EXPECT_EQ(exec_scratch_allocs(), before)
       << "steady-state fast-path calls grew scratch buffers";

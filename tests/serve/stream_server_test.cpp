@@ -152,24 +152,30 @@ struct ClosesServerFirst {
 
 /// Runs one client stream to completion: submit all inputs (from this
 /// thread or a helper), pop all outputs, compare each against the
-/// single-device reference.
+/// single-device reference. The producer is joined on every path: when a
+/// failed ASSERT ends the pops early, the stream is closed first, so a
+/// producer blocked on window credits returns and the failure reports as
+/// one failure instead of terminating the binary.
 void run_and_check_stream(Harness& h, int stream, int model_id,
                           const std::vector<cnn::Tensor>& inputs) {
-  std::thread producer([&h, stream, &inputs] {
+  std::jthread producer([&h, stream, &inputs] {
     for (const auto& input : inputs) {
       ASSERT_TRUE(h.server->submit(stream, input));
     }
   });
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    auto out = h.server->pop(stream);
-    ASSERT_TRUE(out.has_value()) << "stream " << stream << " image " << k;
-    const auto reference =
-        runtime::run_reference(h.model(model_id), h.weights(model_id), inputs[k]);
-    expect_equal(*out, reference,
-                 "stream " + std::to_string(stream) + " image " +
-                     std::to_string(k));
-  }
-  producer.join();
+  const auto pop_and_check = [&] {
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      auto out = h.server->pop(stream);
+      ASSERT_TRUE(out.has_value()) << "stream " << stream << " image " << k;
+      const auto reference = runtime::run_reference(
+          h.model(model_id), h.weights(model_id), inputs[k]);
+      expect_equal(*out, reference,
+                   "stream " + std::to_string(stream) + " image " +
+                       std::to_string(k));
+    }
+  };
+  pop_and_check();
+  if (::testing::Test::HasFatalFailure()) h.server->close_stream(stream);
 }
 
 /// Serves `streams` concurrent client streams, alternating the two
@@ -186,13 +192,13 @@ void serve_concurrent_streams(Harness& h, int streams, int images, Rng& rng) {
     ASSERT_GE(ids[s], 0);
     inputs[s] = random_inputs(h.model(models[s]), images, rng);
   }
-  std::vector<std::thread> clients;
+  std::vector<std::jthread> clients;  // joined on every path
   for (std::size_t s = 0; s < models.size(); ++s) {
     clients.emplace_back([&h, &ids, &models, &inputs, s] {
       run_and_check_stream(h, ids[s], models[s], inputs[s]);
     });
   }
-  for (auto& t : clients) t.join();
+  clients.clear();  // joins them all
   for (const int id : ids) {
     const auto snap = h.server->snapshot(id);
     EXPECT_EQ(snap.submitted, images);
