@@ -107,10 +107,8 @@ void BM_ConvRows(benchmark::State& state, cnn::ExecEngine engine) {
   for (auto& v : input.data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   const auto weights = cnn::ConvWeights::random(layer, rng);
   const cnn::RowInterval rows{0, 8};
-  // Cache as the data plane runs: weights pack once, not per iteration.
-  cnn::ExecCache cache;
-  cnn::ExecContext ctx{engine, nullptr};
-  ctx.cache = &cache;
+  // As the data plane runs: the weights pack on their first call only.
+  const cnn::ExecContext ctx{engine, nullptr};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         cnn::conv_forward_rows(layer, input, 0, rows, weights, ctx));

@@ -7,6 +7,7 @@
 // threaded runtime and the property tests both use it.
 #pragma once
 
+#include <atomic>
 #include <span>
 #include <vector>
 
@@ -15,6 +16,36 @@
 #include "common/rng.hpp"
 
 namespace de::cnn {
+
+namespace detail {
+
+/// The fast engine's packed forms of one ConvWeights, one slot per kernel
+/// lane width. exec_engine.cpp builds a slot on its first use under that
+/// slot's once-guard; it is read-only after, so every thread, provider and
+/// fleet of the process shares one copy while the weights live. A copy, a
+/// move or an assignment starts unpacked.
+class PackedWeights {
+ public:
+  struct Slots;  ///< defined in exec_kernel.hpp
+
+  PackedWeights() noexcept = default;
+  PackedWeights(const PackedWeights&) noexcept {}
+  PackedWeights& operator=(const PackedWeights&) noexcept {
+    reset();
+    return *this;
+  }
+  ~PackedWeights() { reset(); }
+
+  /// The slots, created on first use (concurrent first uses agree).
+  Slots& slots() const;
+
+ private:
+  void reset() noexcept;
+
+  mutable std::atomic<Slots*> slots_{nullptr};
+};
+
+}  // namespace detail
 
 /// Dense HWC tensor (row-major: index = (y * w + x) * c + ch).
 struct Tensor {
@@ -32,9 +63,11 @@ struct Tensor {
 };
 
 /// Conv parameters: weights layout [out_c][ky][kx][in_c], bias [out_c].
+/// The fast engine packs them on first use, so they must not change after.
 struct ConvWeights {
   std::vector<float> weights;
   std::vector<float> bias;
+  detail::PackedWeights packed;
 
   static ConvWeights random(const LayerConfig& layer, Rng& rng);
 };

@@ -4,15 +4,16 @@
 // shared body in exec_band.inl): pack weights `lanes` output channels
 // innermost, gather each output row's patches into the executing thread's
 // persistent panel, multiply-accumulate in the reference's per-pixel op
-// order. This file owns everything around the kernel: packed-weight
-// caching (locked first-touch, so contexts may be shared across threads),
-// the work-sized fan-out of every layer kind (exec_threads: a conv, pool or
-// fused call too small to repay a pool round-trip runs inline, a larger one
-// gets tiles in proportion to its work, up to 4 per pool worker), the 2-D
-// (row bands × oc-block ranges) tile decomposition run across the
-// ThreadPool, the channel-innermost maxpool loop shared by standalone and
-// fused pooling, the fused conv→relu→maxpool epilogue, and volume chaining
-// through the thread's reused activation buffers.
+// order. This file owns everything around the kernel: the packs each
+// ConvWeights holds (built on first use under a per-slot once-guard, then
+// shared read-only by every thread), the work-sized fan-out of every layer
+// kind (exec_threads: a conv, pool or fused call too small to repay a pool
+// round-trip runs inline, a larger one gets tiles in proportion to its
+// work, up to 4 per pool worker), the 2-D (row bands × oc-block ranges)
+// tile decomposition run across the ThreadPool, the channel-innermost
+// maxpool loop shared by standalone and fused pooling, the fused
+// conv→relu→maxpool epilogue, and the part walk that chains a volume's
+// layers through the thread's reused activation buffers and seam store.
 //
 // Padding taps are *skipped* exactly like the reference skips them (ky and
 // kx clamp to the in-bounds range), never multiplied in as zeros: x + 0.0f
@@ -23,10 +24,9 @@
 #include "cnn/exec_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
-#include <map>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "cnn/exec_kernel.hpp"
@@ -47,20 +47,6 @@ ExecEngine exec_engine_from_string(const std::string& name) {
   if (name == "fast") return ExecEngine::kFast;
   throw Error("unknown exec engine: \"" + name + "\" (want reference|fast)");
 }
-
-struct ExecCache::Impl {
-  // Guards first-touch packing: two threads sharing a context must not race
-  // the map insert (the historical hazard cnn_exec_cache_race_test pins).
-  // Entries are packed under the lock and immutable afterwards; the map is
-  // node-based, so returned references stay valid across later inserts.
-  std::mutex mu;
-  std::map<std::pair<const ConvWeights*, int>, detail::PackedKernel> packed;
-};
-
-ExecCache::ExecCache() : impl_(std::make_unique<Impl>()) {}
-ExecCache::~ExecCache() = default;
-ExecCache::ExecCache(ExecCache&&) noexcept = default;
-ExecCache& ExecCache::operator=(ExecCache&&) noexcept = default;
 
 namespace {
 
@@ -101,30 +87,28 @@ int exec_threads(const ExecContext& ctx, Ops ops) {
   return detail::threads_for_work(ops, static_cast<int>(ctx.pool->size()));
 }
 
-/// The packed form of `w` at `lanes` wide blocks: from the cache when the
-/// context carries one (packing each (weights, lanes) pair at most once per
-/// cache, first touch under the cache lock), else packed into the calling
-/// thread's scratch — reused across calls, so the no-cache path allocates
-/// only until the largest layer has been seen. The cache key is the weights
-/// object's address — valid because a ConvWeights belongs to one layer for
-/// its whole life in this codebase; the extent assert catches a violation
-/// of that assumption.
+std::atomic<std::uint64_t> g_executed{0};
+
+void count_executed(Ops ops) {
+  g_executed.fetch_add(static_cast<std::uint64_t>(ops),
+                       std::memory_order_relaxed);
+}
+
+/// The packed form of `w` at `lanes` wide blocks, built by the first call
+/// that needs it and shared by every later one, on any thread. The extent
+/// assert catches one weights object used for two layer configs.
 const PackedKernel& packed_for(const LayerConfig& l, const ConvWeights& w,
-                               const ExecContext& ctx, int lanes) {
-  if (ctx.cache == nullptr) {
-    PackedKernel& scratch = detail::thread_band_scratch().pack;
-    detail::pack_weights_into(scratch, l, w, lanes);
-    return scratch;
-  }
-  auto& impl = ctx.cache->impl();
-  std::lock_guard lk(impl.mu);
-  PackedKernel& slot = impl.packed[{&w, lanes}];
-  if (slot.blocks == 0) detail::pack_weights_into(slot, l, w, lanes);
-  DE_ASSERT(slot.lanes == lanes && slot.k == l.kernel &&
-                slot.row_len == l.kernel * l.in_c &&
-                slot.blocks == (l.out_c + lanes - 1) / lanes,
-            "cached packed weights belong to a different layer config");
-  return slot;
+                               int lanes) {
+  DE_ASSERT(lanes == 8 || lanes == 16, "packed lane width is 8 or 16");
+  auto& slot = w.packed.slots().by_lanes[lanes / 16];
+  std::call_once(slot.once, [&] {
+    slot.kernel = detail::pack_weights(l, w, lanes);
+  });
+  const PackedKernel& pk = slot.kernel;
+  DE_ASSERT(pk.k == l.kernel && pk.row_len == l.kernel * l.in_c &&
+                pk.blocks == (l.out_c + lanes - 1) / lanes,
+            "packed weights belong to a different layer config");
+  return pk;
 }
 
 /// Runs `plan`'s tiles, each writing disjoint bytes of the output: a
@@ -252,9 +236,6 @@ void copy_band(const Tensor& src, int src_top, RowInterval rows, Tensor& dst,
 Tensor conv_forward_rows(const LayerConfig& layer, const Tensor& in_crop,
                          int in_row_offset, RowInterval out_rows,
                          const ConvWeights& w, const ExecContext& ctx) {
-  if (ctx.engine == ExecEngine::kReference) {
-    return conv_forward_rows(layer, in_crop, in_row_offset, out_rows, w);
-  }
   DE_REQUIRE(!out_rows.empty(), "empty output interval");
   Tensor out(out_rows.size(), layer.out_w(), layer.out_c);
   conv_forward_rows_into(layer, in_crop, in_row_offset, out_rows, w, ctx, out,
@@ -265,9 +246,6 @@ Tensor conv_forward_rows(const LayerConfig& layer, const Tensor& in_crop,
 Tensor maxpool_forward_rows(const LayerConfig& layer, const Tensor& in_crop,
                             int in_row_offset, RowInterval out_rows,
                             const ExecContext& ctx) {
-  if (ctx.engine == ExecEngine::kReference) {
-    return maxpool_forward_rows(layer, in_crop, in_row_offset, out_rows);
-  }
   DE_REQUIRE(!out_rows.empty(), "empty output interval");
   Tensor out(out_rows.size(), layer.out_w(), layer.out_c);
   maxpool_forward_rows_into(layer, in_crop, in_row_offset, out_rows, ctx, out,
@@ -283,16 +261,18 @@ void conv_forward_rows_into(const LayerConfig& layer, const Tensor& in_crop,
   if (ctx.engine == ExecEngine::kReference) {
     const Tensor band =
         conv_forward_rows(layer, in_crop, in_row_offset, out_rows, w);
+    count_executed(layer.ops_for_rows(out_rows.size()));
     copy_band(band, out_rows.begin, out_rows, dst, dst_top);
     return;
   }
   DE_REQUIRE(layer.kind == LayerKind::kConv, "conv_forward_rows on non-conv");
   require_crop_covers(layer, in_crop, in_row_offset, out_rows);
   const KernelTarget target = kernel_target(ctx);
-  const PackedKernel& pk = packed_for(layer, w, ctx, target.lanes);
-  const auto plan = detail::plan_conv_tiles(
-      out_rows, pk.blocks,
-      exec_threads(ctx, layer.ops_for_rows(out_rows.size())));
+  const PackedKernel& pk = packed_for(layer, w, target.lanes);
+  const Ops ops = layer.ops_for_rows(out_rows.size());
+  count_executed(ops);
+  const auto plan =
+      detail::plan_conv_tiles(out_rows, pk.blocks, exec_threads(ctx, ops));
   run_tiles(plan, ctx, [&](ConvTile t) {
     target.fn(ConvBandCall{&layer, in_crop.data.data(), in_row_offset,
                            t.rows.begin, t.rows.end, dst_top, t.blk_lo,
@@ -308,6 +288,7 @@ void maxpool_forward_rows_into(const LayerConfig& layer, const Tensor& in_crop,
   if (ctx.engine == ExecEngine::kReference) {
     const Tensor band =
         maxpool_forward_rows(layer, in_crop, in_row_offset, out_rows);
+    count_executed(layer.ops_for_rows(out_rows.size()));
     copy_band(band, out_rows.begin, out_rows, dst, dst_top);
     return;
   }
@@ -322,9 +303,10 @@ void maxpool_forward_rows_into(const LayerConfig& layer, const Tensor& in_crop,
     return in_crop.data.data() +
            static_cast<std::size_t>(iy - in_row_offset) * in_floats;
   };
+  const Ops ops = layer.ops_for_rows(out_rows.size());
+  count_executed(ops);
   // One channel block: pool tiles are row bands only.
-  const auto plan = detail::plan_conv_tiles(
-      out_rows, 1, exec_threads(ctx, layer.ops_for_rows(out_rows.size())));
+  const auto plan = detail::plan_conv_tiles(out_rows, 1, exec_threads(ctx, ops));
   run_tiles(plan, ctx, [&](ConvTile t) {
     for (int oy = t.rows.begin; oy < t.rows.end; ++oy) {
       maxpool_row(layer, oy, in_row, 0, layer.in_c,
@@ -350,25 +332,34 @@ void conv_pool_forward_rows_into(const LayerConfig& conv,
   DE_REQUIRE(!out_rows.empty(), "empty output interval");
   require_dst_covers(pool, dst, dst_top, out_rows);
   const RowInterval conv_rows = input_rows_for(pool, out_rows);
+  const Ops pool_ops = pool.ops_for_rows(out_rows.size());
   if (ctx.engine == ExecEngine::kReference) {
     const Tensor conv_out =
         conv_forward_rows(conv, in_crop, in_row_offset, conv_rows, w);
     const Tensor pooled =
         maxpool_forward_rows(pool, conv_out, conv_rows.begin, out_rows);
+    count_executed(conv.ops_for_rows(conv_rows.size()) + pool_ops);
     copy_band(pooled, out_rows.begin, out_rows, dst, dst_top);
     return;
   }
   require_crop_covers(conv, in_crop, in_row_offset, conv_rows);
   const KernelTarget target = kernel_target(ctx);
-  const PackedKernel& pk = packed_for(conv, w, ctx, target.lanes);
-  const Ops ops =
-      conv.ops_for_rows(conv_rows.size()) + pool.ops_for_rows(out_rows.size());
-  run_tiles(
-      detail::plan_conv_tiles(out_rows, pk.blocks, exec_threads(ctx, ops)),
-      ctx, [&](ConvTile t) {
-        conv_pool_tile(conv, pool, in_crop, in_row_offset, t, dst_top, pk,
-                       target.fn, dst);
-      });
+  const PackedKernel& pk = packed_for(conv, w, target.lanes);
+  const auto plan = detail::plan_conv_tiles(
+      out_rows, pk.blocks,
+      exec_threads(ctx, conv.ops_for_rows(conv_rows.size()) + pool_ops));
+  // Each row band of tiles computes every conv row its pool windows span,
+  // so bands share the conv rows of windows that overlap across them.
+  Ops executed = pool_ops;
+  for (int b = 0; b < plan.n_bands; ++b) {
+    executed += conv.ops_for_rows(
+        input_rows_for(pool, plan.tile(b * plan.oc_tiles).rows).size());
+  }
+  count_executed(executed);
+  run_tiles(plan, ctx, [&](ConvTile t) {
+    conv_pool_tile(conv, pool, in_crop, in_row_offset, t, dst_top, pk,
+                   target.fn, dst);
+  });
 }
 
 Tensor conv_pool_forward_rows(const LayerConfig& conv, const LayerConfig& pool,
@@ -382,58 +373,203 @@ Tensor conv_pool_forward_rows(const LayerConfig& conv, const LayerConfig& pool,
   return out;
 }
 
+namespace {
+
+/// `c` without the rows of `r`. `r` never lies strictly inside `c`: the
+/// fields of disjoint bands grow monotonically with the band's position,
+/// so an earlier band's field clips a prefix or a suffix of a later one's.
+RowInterval without(RowInterval c, RowInterval r) {
+  if (c.intersect(r).empty()) return c;
+  if (r.begin <= c.begin) {
+    c.begin = r.end;
+  } else {
+    DE_ASSERT(r.end >= c.end, "a band field inside another band's");
+    c.end = r.begin;
+  }
+  return c.empty() ? RowInterval{} : c;
+}
+
+/// Calls fn for each run of `x` outside `c`: the rows of a step a band
+/// reads but does not compute.
+template <typename Fn>
+void for_each_outside(RowInterval x, RowInterval c, const Fn& fn) {
+  const RowInterval mid = x.intersect(c);
+  if (mid.empty()) {
+    if (!x.empty()) fn(x);
+    return;
+  }
+  if (x.begin < mid.begin) fn(RowInterval{x.begin, mid.begin});
+  if (mid.end < x.end) fn(RowInterval{mid.end, x.end});
+}
+
+std::size_t row_floats(const LayerConfig& l) {
+  return static_cast<std::size_t>(l.out_w()) * l.out_c;
+}
+
+}  // namespace
+
+void plan_part_walk(std::span<const LayerConfig> volume,
+                    std::span<const RowInterval> bands, const ExecContext& ctx,
+                    PartWalk& walk) {
+  DE_REQUIRE(!volume.empty(), "empty volume");
+  DE_REQUIRE(!bands.empty(), "a part walk needs at least one band");
+  walk.fused = ctx.engine == ExecEngine::kFast && ctx.fuse_conv_pool;
+  walk.step_last.clear();
+  for (std::size_t i = 0; i < volume.size();) {
+    i += walk.fused && i + 1 < volume.size() &&
+                 can_fuse_conv_pool(volume[i], volume[i + 1])
+             ? 2
+             : 1;
+    walk.step_last.push_back(static_cast<int>(i) - 1);
+  }
+  const int n_steps = walk.n_steps();
+  walk.steps.assign(bands.size() * walk.step_last.size(), PartWalk::Step{});
+  const auto at = [&](std::size_t b, int s) -> PartWalk::Step& {
+    return walk.steps[b * walk.step_last.size() + static_cast<std::size_t>(s)];
+  };
+  // Rows of step s − 1's output (the volume input at s = 0) step s reads.
+  const auto reads = [&](int s, RowInterval rows) {
+    const int first = s == 0 ? 0 : walk.step_last[s - 1] + 1;
+    for (int li = walk.step_last[s]; li >= first; --li) {
+      rows = input_rows_for(volume[static_cast<std::size_t>(li)], rows);
+    }
+    return rows;
+  };
+
+  // A band computes the rows of its field no earlier band's field holds,
+  // and its next step reads the rest of what it needs from the seam store.
+  walk.seams.clear();
+  for (std::size_t b = 0; b < bands.size(); ++b) {
+    DE_REQUIRE(!bands[b].empty(), "empty split-part");
+    for (std::size_t e = 0; e < b; ++e) {
+      DE_REQUIRE(bands[e].intersect(bands[b]).empty(),
+                 "part walk bands overlap");
+    }
+    RowInterval field = bands[b];
+    for (int s = n_steps - 1; s >= 0; --s) {
+      PartWalk::Step& st = at(b, s);
+      st.field = field;
+      st.compute = field;
+      for (std::size_t e = 0; e < b; ++e) {
+        st.compute = without(st.compute, at(e, s).field);
+      }
+      field = reads(s, field);
+    }
+    for (int s = 0; s < n_steps; ++s) {
+      PartWalk::Step& st = at(b, s);
+      st.held = s + 1 < n_steps ? reads(s + 1, at(b, s + 1).compute)
+                                : st.compute;
+      for_each_outside(st.held, st.compute, [&](RowInterval rows) {
+        walk.seams.push_back({s, rows, 0});
+      });
+    }
+  }
+
+  // Lay out the seam store: each step's seam rows merged into runs.
+  std::sort(walk.seams.begin(), walk.seams.end(),
+            [](const PartWalk::SeamRun& x, const PartWalk::SeamRun& y) {
+              return x.step != y.step ? x.step < y.step
+                                      : x.rows.begin < y.rows.begin;
+            });
+  std::size_t n = 0;
+  for (const PartWalk::SeamRun& run : walk.seams) {
+    PartWalk::SeamRun* prev = n == 0 ? nullptr : &walk.seams[n - 1];
+    if (prev != nullptr && prev->step == run.step &&
+        run.rows.begin <= prev->rows.end) {
+      prev->rows.end = std::max(prev->rows.end, run.rows.end);
+    } else {
+      walk.seams[n++] = run;
+    }
+  }
+  walk.seams.resize(n);
+  walk.seam_floats = 0;
+  for (PartWalk::SeamRun& run : walk.seams) {
+    run.at = walk.seam_floats;
+    walk.seam_floats +=
+        static_cast<std::size_t>(run.rows.size()) *
+        row_floats(volume[static_cast<std::size_t>(walk.step_last[run.step])]);
+  }
+}
+
+void part_walk_band_into(const PartWalk& walk, int band,
+                         std::span<const LayerConfig> volume,
+                         const Tensor& in_crop, int in_row_offset,
+                         std::span<const ConvWeights> weights,
+                         const ExecContext& ctx, Tensor& dst, int dst_top) {
+  DE_REQUIRE(weights.size() == volume.size(), "one weight entry per layer");
+  DE_REQUIRE(walk.n_steps() > 0 &&
+                 walk.step_last.back() + 1 == static_cast<int>(volume.size()) &&
+                 walk.fused ==
+                     (ctx.engine == ExecEngine::kFast && ctx.fuse_conv_pool),
+             "part walk planned for another volume or context");
+  DE_REQUIRE(band >= 0 && band < walk.n_bands(), "part walk band out of range");
+  // Intermediate steps alternate between the thread's two activation
+  // buffers, which grow to the largest step seen and are never zero-filled:
+  // the computed rows and the seam rows copied in overwrite every float the
+  // next step reads.
+  BandScratch& scratch = detail::thread_band_scratch();
+  float* seams = BandScratch::ensure(scratch.seams, walk.seam_floats);
+  const Tensor* cur = &in_crop;
+  int cur_top = in_row_offset;
+  std::size_t first = 0;  // the step's first layer
+  for (int s = 0; s < walk.n_steps(); ++s) {
+    const PartWalk::Step& st = walk.step(band, s);
+    const auto last_layer = static_cast<std::size_t>(walk.step_last[s]);
+    const LayerConfig& l = volume[last_layer];
+    const bool last = s + 1 == walk.n_steps();
+    Tensor& out = last ? dst
+                       : scratch.activation(s % 2, st.held.size(), l.out_w(),
+                                            l.out_c);
+    const int out_top = last ? dst_top : st.held.begin;
+    if (!st.compute.empty()) {
+      if (last_layer > first) {
+        conv_pool_forward_rows_into(volume[first], l, *cur, cur_top,
+                                    st.compute, weights[first], ctx, out,
+                                    out_top);
+      } else if (l.kind == LayerKind::kConv) {
+        conv_forward_rows_into(l, *cur, cur_top, st.compute, weights[first],
+                               ctx, out, out_top);
+      } else {
+        maxpool_forward_rows_into(l, *cur, cur_top, st.compute, ctx, out,
+                                  out_top);
+      }
+    }
+    // Seam rows this band computed are kept for later bands; the ones it
+    // reads but did not compute are copied in.
+    const std::size_t rf = row_floats(l);
+    for (const PartWalk::SeamRun& run : walk.seams) {
+      if (run.step != s) continue;
+      const auto seam_row = [&](int y) {
+        return seams + run.at + static_cast<std::size_t>(y - run.rows.begin) * rf;
+      };
+      const auto out_row = [&](int y) {
+        return out.data.data() + static_cast<std::size_t>(y - out_top) * rf;
+      };
+      const RowInterval reads = run.rows.intersect(st.held);
+      const RowInterval kept = reads.intersect(st.compute);
+      if (!kept.empty()) {
+        std::copy_n(out_row(kept.begin), kept.size() * rf, seam_row(kept.begin));
+      }
+      for_each_outside(reads, st.compute, [&](RowInterval rows) {
+        std::copy_n(seam_row(rows.begin), rows.size() * rf, out_row(rows.begin));
+      });
+    }
+    cur = &out;
+    cur_top = out_top;
+    first = last_layer + 1;
+  }
+}
+
 void volume_forward_rows_into(std::span<const LayerConfig> volume,
                               const Tensor& in_crop, int in_row_offset,
                               RowInterval last_out,
                               std::span<const ConvWeights> weights,
                               const ExecContext& ctx, Tensor& dst,
                               int dst_top) {
-  DE_REQUIRE(weights.size() == volume.size(), "one weight entry per layer");
-  DE_REQUIRE(!last_out.empty(), "empty split-part");
-  if (ctx.engine == ExecEngine::kReference) {
-    const Tensor band =
-        volume_forward_rows(volume, in_crop, in_row_offset, last_out, weights);
-    require_dst_covers(volume.back(), dst, dst_top, last_out);
-    copy_band(band, last_out.begin, last_out, dst, dst_top);
-    return;
-  }
-  // The first layer reads the caller's crop in place and the last lands in
-  // `dst`; the layers between alternate between the calling thread's two
-  // activation buffers, which grow to the largest band seen and are never
-  // zero-filled — each layer overwrites every float the next one reads.
-  // Conv layers whose entire output feeds the next maxpool are fused: that
-  // conv activation is never materialized at all (conv_pool_forward_rows).
-  BandScratch& scratch = detail::thread_band_scratch();
-  std::vector<RowInterval>& per_layer = scratch.rows;
-  per_layer.resize(volume.size());
-  per_layer_output_rows(volume, last_out, per_layer);
-  const Tensor* cur = &in_crop;
-  int offset = in_row_offset;
-  int buf = 0;  // the activation buffer the next intermediate layer fills
-  for (std::size_t i = 0; i < volume.size();) {
-    const bool fuse = ctx.fuse_conv_pool && i + 1 < volume.size() &&
-                      can_fuse_conv_pool(volume[i], volume[i + 1]);
-    const std::size_t last_i = fuse ? i + 1 : i;
-    const bool last = last_i + 1 == volume.size();
-    const LayerConfig& l = volume[last_i];
-    const RowInterval rows = per_layer[last_i];
-    Tensor& out =
-        last ? dst : scratch.activation(buf, rows.size(), l.out_w(), l.out_c);
-    const int out_top = last ? dst_top : rows.begin;
-    if (fuse) {
-      conv_pool_forward_rows_into(volume[i], l, *cur, offset, rows, weights[i],
-                                  ctx, out, out_top);
-    } else if (l.kind == LayerKind::kConv) {
-      conv_forward_rows_into(l, *cur, offset, rows, weights[i], ctx, out,
-                             out_top);
-    } else {
-      maxpool_forward_rows_into(l, *cur, offset, rows, ctx, out, out_top);
-    }
-    cur = &out;
-    offset = rows.begin;
-    buf ^= 1;
-    i = last_i + 1;
-  }
+  PartWalk& walk = detail::thread_band_scratch().walk;
+  plan_part_walk(volume, std::span(&last_out, 1), ctx, walk);
+  part_walk_band_into(walk, 0, volume, in_crop, in_row_offset, weights, ctx,
+                      dst, dst_top);
 }
 
 Tensor volume_forward_rows(std::span<const LayerConfig> volume,
@@ -441,10 +577,6 @@ Tensor volume_forward_rows(std::span<const LayerConfig> volume,
                            RowInterval last_out,
                            std::span<const ConvWeights> weights,
                            const ExecContext& ctx) {
-  if (ctx.engine == ExecEngine::kReference) {
-    return volume_forward_rows(volume, in_crop, in_row_offset, last_out,
-                               weights);
-  }
   DE_REQUIRE(!volume.empty(), "empty volume");
   DE_REQUIRE(!last_out.empty(), "empty split-part");
   Tensor out(last_out.size(), volume.back().out_w(), volume.back().out_c);
@@ -456,10 +588,6 @@ Tensor volume_forward_rows(std::span<const LayerConfig> volume,
 Tensor volume_forward(std::span<const LayerConfig> volume, const Tensor& in,
                       std::span<const ConvWeights> weights,
                       const ExecContext& ctx) {
-  if (ctx.engine == ExecEngine::kReference) {
-    return volume_forward(volume, in, weights);
-  }
-  DE_REQUIRE(weights.size() == volume.size(), "one weight entry per layer");
   DE_REQUIRE(!volume.empty(), "empty volume");
   DE_REQUIRE(in.h == volume.front().in_h, "full forward input height mismatch");
   return volume_forward_rows(volume, in, 0,
@@ -468,5 +596,9 @@ Tensor volume_forward(std::span<const LayerConfig> volume, const Tensor& in,
 }
 
 std::uint64_t exec_scratch_allocs() { return detail::scratch_grow_count(); }
+
+std::uint64_t exec_flops() {
+  return g_executed.load(std::memory_order_relaxed);
+}
 
 }  // namespace de::cnn

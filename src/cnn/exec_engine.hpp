@@ -32,9 +32,11 @@
 // the full argument.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "cnn/conv_exec.hpp"
 #include "cnn/kernel_isa.hpp"
@@ -51,42 +53,17 @@ const char* to_string(ExecEngine engine);
 /// Parses "reference" / "fast" (as printed by to_string). Throws on unknown.
 ExecEngine exec_engine_from_string(const std::string& name);
 
-/// Cache of packed conv weights, keyed by ConvWeights identity (object
-/// address) and packed lane width. Packing is cheap next to one band's
-/// FLOPs but not next to a whole stream's: with a cache the data plane
-/// packs each layer once per run instead of once per image. Every weights
-/// object used through a cache-bearing context must outlive the cache — a
-/// weights object that dies and another allocated at its address would
-/// alias its entry (a geometry mismatch is caught by an assert; same-shape
-/// aliasing is not). First-touch packing is serialized by an internal lock,
-/// so threads may share one cache-bearing context (cnn_exec_cache_race_test
-/// is the TSan regression); packed entries are immutable once inserted.
-class ExecCache {
- public:
-  ExecCache();
-  ~ExecCache();
-  ExecCache(ExecCache&&) noexcept;
-  ExecCache& operator=(ExecCache&&) noexcept;
-
-  /// Internal state (defined in exec_engine.cpp; not part of the API).
-  struct Impl;
-  Impl& impl() const { return *impl_; }
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
-
 /// How to execute conv/pool forwards: which engine, (fast engine only) which
-/// pool to spread tiles across, an optional packed-weight cache, which ISA
-/// micro-kernel (kAuto = the process default from cpuid / DE_KERNEL_ISA),
-/// and whether volume execution may fuse conv→relu→pool pairs. A null pool
-/// runs the fast kernel single-threaded, and so does any call too small to
-/// repay a pool round-trip; the reference engine never threads, never
-/// packs, never fuses.
+/// pool to spread tiles across, which ISA micro-kernel (kAuto = the process
+/// default from cpuid / DE_KERNEL_ISA), and whether volume execution may
+/// fuse conv→relu→pool pairs. A null pool runs the fast kernel
+/// single-threaded, and so does any call too small to repay a pool
+/// round-trip; the reference engine never threads, never packs, never
+/// fuses. The fast engine packs each ConvWeights once per lane width, into
+/// the weights object itself (ConvWeights::packed).
 struct ExecContext {
   ExecEngine engine = ExecEngine::kReference;
   ThreadPool* pool = nullptr;  ///< not owned; tile parallelism when set
-  ExecCache* cache = nullptr;  ///< not owned; packed-weight reuse when set
   KernelIsa isa = KernelIsa::kAuto;  ///< force a dispatch target (testing)
   bool fuse_conv_pool = true;  ///< volume fusion epilogue (fast engine only)
 
@@ -137,12 +114,73 @@ void maxpool_forward_rows_into(const LayerConfig& layer, const Tensor& in_crop,
                                int in_row_offset, RowInterval out_rows,
                                const ExecContext& ctx, Tensor& dst,
                                int dst_top);
+/// The one-band part walk (below): each band called on its own computes
+/// its whole receptive field.
 void volume_forward_rows_into(std::span<const LayerConfig> volume,
                               const Tensor& in_crop, int in_row_offset,
                               RowInterval last_out,
                               std::span<const ConvWeights> weights,
                               const ExecContext& ctx, Tensor& dst,
                               int dst_top);
+
+/// The walk of one (volume, device) part computed as disjoint row bands of
+/// the volume's last layer, in a fixed order (DESIGN.md §Halo-first
+/// schedule). A step is one layer, or a conv→pool pair the context fuses.
+/// At every step a band computes the rows of its field (every row its
+/// output depends on) that no earlier band's field holds, and its next step
+/// reads those plus rows earlier bands computed, which they left in the
+/// seam store. So each row of each step is computed once per part and
+/// executed work equals split_part_ops — except that a fused pair whose
+/// pool kernel exceeds its stride recomputes, per band and tile seam, the
+/// kernel − stride conv rows its pool windows share. Every row comes from
+/// the same kernel call over the same input rows, so outputs are
+/// bit-identical to computing each band alone. Intermediate steps live in
+/// the calling thread's two alternating activation buffers and the seam
+/// store in its scratch, so a walk's bands run in order on one thread.
+struct PartWalk {
+  struct Step {
+    RowInterval field;    ///< rows of the step the band's output depends on
+    RowInterval compute;  ///< rows the band computes (may be empty)
+    RowInterval held;     ///< rows the next step reads (⊇ compute)
+  };
+  /// Seam rows of one step, stored from float `at` of the seam store.
+  struct SeamRun {
+    int step = 0;
+    RowInterval rows;
+    std::size_t at = 0;
+  };
+
+  bool fused = false;            ///< planned for a context that fuses
+  std::vector<int> step_last;    ///< last volume layer of each step
+  std::vector<Step> steps;       ///< steps[band * n_steps() + step]
+  std::vector<SeamRun> seams;    ///< sorted by (step, rows)
+  std::size_t seam_floats = 0;   ///< size of the seam store
+
+  int n_steps() const { return static_cast<int>(step_last.size()); }
+  int n_bands() const {
+    return step_last.empty() ? 0
+                             : static_cast<int>(steps.size() / step_last.size());
+  }
+  const Step& step(int band, int s) const {
+    return steps[static_cast<std::size_t>(band) * step_last.size() +
+                 static_cast<std::size_t>(s)];
+  }
+};
+
+/// Plans `bands` (disjoint, non-empty, in compute order) of `volume` for
+/// `ctx` into `walk`, reusing its storage: re-planning a walk of the same
+/// shape allocates nothing.
+void plan_part_walk(std::span<const LayerConfig> volume,
+                    std::span<const RowInterval> bands, const ExecContext& ctx,
+                    PartWalk& walk);
+/// Runs band `band` of `walk` once bands [0, band) have run on this thread.
+/// `in_crop` (row 0 = absolute row `in_row_offset`) covers the input every
+/// band reads; the band's rows land in `dst` (row 0 = `dst_top`).
+void part_walk_band_into(const PartWalk& walk, int band,
+                         std::span<const LayerConfig> volume,
+                         const Tensor& in_crop, int in_row_offset,
+                         std::span<const ConvWeights> weights,
+                         const ExecContext& ctx, Tensor& dst, int dst_top);
 
 /// True when `pool` consumes exactly `conv`'s output (extents and channels
 /// chain, no pool padding) — the shape volume execution fuses.
@@ -165,11 +203,17 @@ void conv_pool_forward_rows_into(const LayerConfig& conv,
                                  const ConvWeights& w, const ExecContext& ctx,
                                  Tensor& dst, int dst_top);
 
-/// Process-wide count of fast-path scratch buffer growths (panel / packed /
-/// fused-window / volume activations, across all threads). Steady state is flat: once every
-/// participating thread has executed a given geometry, repeated calls must
-/// not move this counter (asserted in the banded-equivalence test — the
-/// engine-side analogue of the data plane's frame_allocs).
+/// Process-wide count of fast-path scratch buffer growths (panel /
+/// fused-window / part-walk activations and seam store, across all
+/// threads). Steady state is flat: once every participating thread has
+/// executed a given geometry, repeated calls must not move this counter
+/// (asserted in the banded-equivalence test — the engine-side analogue of
+/// the data plane's frame_allocs).
 std::uint64_t exec_scratch_allocs();
+
+/// Process-wide count (relaxed) of the work the engine entries above
+/// executed, in LayerConfig::ops_for_rows units: conv FLOPs plus pool
+/// comparisons, the units of split_part_ops and CnnModel::conv_chain_ops.
+std::uint64_t exec_flops();
 
 }  // namespace de::cnn

@@ -1,6 +1,7 @@
 #include "cnn/exec_kernel.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/require.hpp"
 
@@ -38,19 +39,35 @@ std::uint64_t scratch_grow_count() {
   return g_scratch_grows.load(std::memory_order_relaxed);
 }
 
-void pack_weights_into(PackedKernel& p, const LayerConfig& l,
-                       const ConvWeights& w, int lanes) {
+PackedWeights::Slots& PackedWeights::slots() const {
+  Slots* have = slots_.load(std::memory_order_acquire);
+  if (have != nullptr) return *have;
+  auto fresh = std::make_unique<Slots>();
+  if (slots_.compare_exchange_strong(have, fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+    return *fresh.release();
+  }
+  return *have;  // another thread's first use won
+}
+
+void PackedWeights::reset() noexcept {
+  delete slots_.exchange(nullptr, std::memory_order_acq_rel);
+}
+
+PackedKernel pack_weights(const LayerConfig& l, const ConvWeights& w,
+                          int lanes) {
+  PackedKernel p;
   p.k = l.kernel;
   p.row_len = l.kernel * l.in_c;
   p.blocks = (l.out_c + lanes - 1) / lanes;
   p.lanes = lanes;
-  const std::size_t dn =
-      static_cast<std::size_t>(p.blocks) * l.kernel * p.row_len * lanes;
-  const std::size_t bn = static_cast<std::size_t>(p.blocks) * lanes;
-  float* data = BandScratch::ensure(p.data, dn);
-  float* bias = BandScratch::ensure(p.bias, bn);
-  std::fill(data, data + dn, 0.0f);  // junk lanes of short final blocks
-  std::fill(bias, bias + bn, 0.0f);
+  // Zero-filled: the junk lanes of a short final block stay zero.
+  p.data.assign(
+      static_cast<std::size_t>(p.blocks) * l.kernel * p.row_len * lanes, 0.0f);
+  p.bias.assign(static_cast<std::size_t>(p.blocks) * lanes, 0.0f);
+  float* data = p.data.data();
+  float* bias = p.bias.data();
   const std::size_t k_in =
       static_cast<std::size_t>(l.in_c) * l.kernel * l.kernel;
   for (int oc = 0; oc < l.out_c; ++oc) {
@@ -64,6 +81,7 @@ void pack_weights_into(PackedKernel& p, const LayerConfig& l,
            lane] = src[j];
     }
   }
+  return p;
 }
 
 int kernel_isa_lanes(KernelIsa isa) {

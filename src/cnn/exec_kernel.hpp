@@ -12,9 +12,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "cnn/conv_exec.hpp"
+#include "cnn/exec_engine.hpp"
 #include "cnn/kernel_isa.hpp"
 #include "cnn/layer.hpp"
 #include "cnn/vsl.hpp"
@@ -46,12 +48,24 @@ struct PackedKernel {
   }
 };
 
-/// Packs `w` for `lanes`-wide blocks into `p`, reusing its buffers.
-void pack_weights_into(PackedKernel& p, const LayerConfig& l,
-                       const ConvWeights& w, int lanes);
+/// `w` packed for `lanes`-wide blocks.
+PackedKernel pack_weights(const LayerConfig& l, const ConvWeights& w,
+                          int lanes);
 
-/// Accumulator lanes per packed block for `isa` (a concrete target).
+/// Accumulator lanes per packed block for `isa` (a concrete target): 8 or
+/// 16.
 int kernel_isa_lanes(KernelIsa isa);
+
+/// One ConvWeights' packs: slot 0 holds the 8-lane form, slot 1 the
+/// 16-lane one, each packed once under its own guard (packed_for in
+/// exec_engine.cpp).
+struct PackedWeights::Slots {
+  struct Slot {
+    std::once_flag once;
+    PackedKernel kernel;
+  };
+  Slot by_lanes[2];
+};
 
 /// Per-thread reusable buffers for the fast path. Thread-local: pool
 /// workers and external callers each own one for the life of the thread, so
@@ -60,9 +74,9 @@ int kernel_isa_lanes(KernelIsa isa);
 struct BandScratch {
   std::vector<float> panel;  ///< gathered patch tile (kOxTile columns)
   std::vector<float> ring;   ///< fused conv→pool rolling conv-row window
-  PackedKernel pack;         ///< fallback pack when the context has no cache
-  Tensor act[2];  ///< volume walk's intermediate layers, alternating
-  std::vector<RowInterval> rows;  ///< volume walk's per-layer output rows
+  Tensor act[2];  ///< part walk's intermediate steps, alternating
+  std::vector<float> seams;  ///< part walk's seam store (PartWalk::seams)
+  PartWalk walk;  ///< volume_forward_rows_into's one-band walk
 
   /// Grows `v` to at least `n` floats; counts a scratch growth when the
   /// capacity actually changes.

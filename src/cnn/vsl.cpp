@@ -44,15 +44,8 @@ int vsl_input_height(std::span<const LayerConfig> volume, int out_h_last) {
 
 std::vector<RowInterval> per_layer_output_rows(std::span<const LayerConfig> volume,
                                                RowInterval last_out) {
-  std::vector<RowInterval> out(volume.size());
-  per_layer_output_rows(volume, last_out, out);
-  return out;
-}
-
-void per_layer_output_rows(std::span<const LayerConfig> volume,
-                           RowInterval last_out, std::span<RowInterval> out) {
   DE_REQUIRE(!volume.empty(), "empty volume");
-  DE_REQUIRE(out.size() == volume.size(), "one output interval per layer");
+  std::vector<RowInterval> out(volume.size());
   RowInterval cur = last_out;
   for (std::size_t i = volume.size(); i-- > 0;) {
     out[i] = cur;
@@ -63,6 +56,7 @@ void per_layer_output_rows(std::span<const LayerConfig> volume,
                 "propagated interval exceeds producer extent");
     }
   }
+  return out;
 }
 
 RowInterval required_input_rows(std::span<const LayerConfig> volume,

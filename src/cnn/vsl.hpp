@@ -47,9 +47,6 @@ int vsl_input_height(std::span<const LayerConfig> volume, int out_h_last);
 /// result.back() == last_out (clipped to the layer extents).
 std::vector<RowInterval> per_layer_output_rows(std::span<const LayerConfig> volume,
                                                RowInterval last_out);
-/// The same into `out` (one interval per layer), allocating nothing.
-void per_layer_output_rows(std::span<const LayerConfig> volume,
-                           RowInterval last_out, std::span<RowInterval> out);
 
 /// Input rows of the volume's *first* layer needed for `last_out`.
 RowInterval required_input_rows(std::span<const LayerConfig> volume,

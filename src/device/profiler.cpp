@@ -93,24 +93,20 @@ LatencyTable profile_model_measured(const cnn::CnnModel& model,
     if (layer.kind == cnn::LayerKind::kConv) {
       weights = cnn::ConvWeights::random(layer, rng);
     }
-    // Pack once per layer so the height sweep and repeats measure the steady
-    // state the data plane sees, not per-call weight packing. Scoped to the
-    // layer: the cache keys on the weights object, which dies with this
-    // iteration.
-    cnn::ExecCache cache;
-    cnn::ExecContext exec = options.exec;
-    exec.cache = &cache;
     const int out_h = layer.out_h();
     const int step = std::min(options.granularity, out_h);
     for (int rows = step; rows <= out_h; rows += step) {
       const int r = (rows + step > out_h && rows != out_h) ? out_h : rows;
       const cnn::RowInterval out_rows{0, r};
+      // The weights pack on their first fast call, so the best of the
+      // repeats measures the steady state the data plane sees.
       const Ms ms = time_best_ms(options.repeats, [&] {
         const auto out =
             layer.kind == cnn::LayerKind::kConv
                 ? cnn::conv_forward_rows(layer, input, 0, out_rows, weights,
-                                         exec)
-                : cnn::maxpool_forward_rows(layer, input, 0, out_rows, exec);
+                                         options.exec)
+                : cnn::maxpool_forward_rows(layer, input, 0, out_rows,
+                                            options.exec);
         sink = sink + out.data[0];
       });
       table.add_sample(layer, r, ms);

@@ -315,16 +315,22 @@ void post_rows(rpc::Transport& transport, const rpc::Address& to,
   }
 }
 
+/// One (volume, device) part's halo-first schedule and the part walk that
+/// computes its bands, each intermediate row once.
+struct PartPlan {
+  PartSchedule schedule;
+  cnn::PartWalk walk;
+};
+
 /// One tenant stream's serving state on a provider: the epoch lane, the
-/// model the lane runs, and the per-epoch halo-first schedules.
+/// model the lane runs, and the per-epoch part plans.
 struct StreamLane {
   int stream = 0;
-  int model_id = 0;
   const cnn::CnnModel* model = nullptr;
   const std::vector<cnn::ConvWeights>* weights = nullptr;
   EpochTable epochs;
-  /// Halo-first schedules per epoch id (built on first use).
-  std::map<int, std::vector<PartSchedule>> schedules;
+  /// Part plans per epoch id, one per volume (built on first use).
+  std::map<int, std::vector<PartPlan>> schedules;
 };
 
 /// Epoch bookkeeping and chunk admission of one provider. Every received
@@ -359,14 +365,21 @@ struct ProviderState {
     return it == lanes.end() ? nullptr : &it->second;
   }
 
-  const std::vector<PartSchedule>& schedules_for(StreamLane& lane,
-                                                 const EpochPlan& ep) {
+  const std::vector<PartPlan>& schedules_for(StreamLane& lane,
+                                             const EpochPlan& ep,
+                                             const cnn::ExecContext& exec) {
     auto [it, inserted] = lane.schedules.try_emplace(ep.epoch);
     if (inserted) {
       const int n_volumes = ep.plan.num_volumes();
-      it->second.reserve(static_cast<std::size_t>(n_volumes));
+      it->second.resize(static_cast<std::size_t>(n_volumes));
       for (int l = 0; l < n_volumes; ++l) {
-        it->second.push_back(plan_part_schedule(ep.plan, l, i));
+        PartPlan& part = it->second[static_cast<std::size_t>(l)];
+        part.schedule = plan_part_schedule(ep.plan, l, i);
+        if (part.schedule.bands.empty()) continue;
+        cnn::plan_part_walk(
+            cnn::volume_layers(*lane.model,
+                               ep.strategy.volumes[static_cast<std::size_t>(l)]),
+            part.schedule.bands, exec, part.walk);
       }
     }
     return it->second;
@@ -451,8 +464,7 @@ struct ProviderState {
                  "reconfigure names an unknown tenant model");
       const TenantModel& tenant = fleet[static_cast<std::size_t>(msg.model_id)];
       lanes.emplace(msg.stream,
-                    StreamLane{msg.stream, msg.model_id, tenant.model,
-                               tenant.weights,
+                    StreamLane{msg.stream, tenant.model, tenant.weights,
                                EpochTable(epoch_from_reconfigure(
                                    msg, *tenant.model)),
                                {}});
@@ -580,7 +592,7 @@ enum class ImageOutcome { kDone, kStop, kCancelled };
 ImageOutcome process_image(
     ProviderState& state, RxState& rx, rpc::Transport& transport,
     StreamLane& lane, int seq, DataPlaneStats& stats,
-    const ReliabilityOptions& reliability, cnn::ExecContext& exec_ctx,
+    const ReliabilityOptions& reliability, const cnn::ExecContext& exec,
     rpc::FrameArena& arena, ChunkSender& sender, Retransmitter* rtx,
     cnn::Tensor& crop, cnn::Tensor (&out_bufs)[2], int& cur_buf,
     double& compute_ms) {
@@ -714,16 +726,17 @@ ImageOutcome process_image(
     const auto t0 = std::chrono::steady_clock::now();
     cnn::Tensor& out = out_bufs[cur_buf];
     reshape(out, part.size(), layers.back().out_w(), layers.back().out_c);
-    const auto& sched =
-        state.schedules_for(lane, ep)[static_cast<std::size_t>(l)];
+    const PartPlan& part_plan =
+        state.schedules_for(lane, ep, exec)[static_cast<std::size_t>(l)];
+    const PartSchedule& sched = part_plan.schedule;
     std::size_t next_send = 0;
     for (std::size_t b = 0; b < sched.bands.size(); ++b) {
       {
         obs::SpanScope band(obs::Cat::kComputeBand, seq, l, ep.epoch,
                             static_cast<std::int64_t>(b));
-        cnn::volume_forward_rows_into(layers, crop, need.begin,
-                                      sched.bands[b], weights_span, exec_ctx,
-                                      out, part.begin);
+        cnn::part_walk_band_into(part_plan.walk, static_cast<int>(b), layers,
+                                 crop, need.begin, weights_span, exec, out,
+                                 part.begin);
       }
       for (; next_send < sched.sends.size() &&
              sched.sends[next_send].ready_after_band <= static_cast<int>(b);
@@ -786,11 +799,6 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   Heartbeater heartbeat(transport, telemetry.heartbeat_to,
                         telemetry.heartbeat_ms, telemetry.clock_origin_us,
                         stats);
-
-  // One packed-weight cache per tenant model: interleaved streams of
-  // different models each pay the packing cost once per run, not per image.
-  std::vector<cnn::ExecCache> caches(fleet.size());
-  cnn::ExecContext exec_ctx = exec;
 
   // Per-run chunk-path state: recycled frame buffers, the dedicated sender
   // thread, and reusable crop/part tensors — steady-state images allocate
@@ -889,10 +897,9 @@ void provider_loop_multi(rpc::Transport& transport, int i,
       wait_from_us = -1;
     }
 
-    exec_ctx.cache = &caches[static_cast<std::size_t>(lane->model_id)];
     double compute_ms = 0;
     switch (process_image(state, rx, transport, *lane, seq, stats,
-                          reliability, exec_ctx, arena, sender, rtx.get(),
+                          reliability, exec, arena, sender, rtx.get(),
                           crop_buf, out_bufs, cur_buf, compute_ms)) {
       case ImageOutcome::kStop:
         return;

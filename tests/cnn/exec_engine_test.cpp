@@ -26,6 +26,7 @@
 #include "common/require.hpp"
 #include "device/latency_model.hpp"
 #include "obs/trace.hpp"
+#include "tensor_bits.hpp"
 
 namespace de::cnn {
 namespace {
@@ -34,21 +35,6 @@ Tensor random_tensor(int h, int w, int c, Rng& rng) {
   Tensor t(h, w, c);
   for (auto& v : t.data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
-}
-
-/// Same extents and the same bit pattern in every float: a float compare
-/// would equate -0.0 with +0.0 and could never match a NaN.
-void expect_bitexact(const Tensor& got, const Tensor& want,
-                     const std::string& what) {
-  ASSERT_EQ(got.h, want.h) << what;
-  ASSERT_EQ(got.w, want.w) << what;
-  ASSERT_EQ(got.c, want.c) << what;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data[i]),
-              std::bit_cast<std::uint32_t>(want.data[i]))
-        << what << " — flat index " << i << " of " << want.size() << ": got "
-        << got.data[i] << ", want " << want.data[i];
-  }
 }
 
 /// Threads' worth of work the fast engine plans for a conv or fused call of
@@ -540,6 +526,74 @@ TEST(ExecEngineVolume, BandedIntoMatchesWholePart) {
   }
 }
 
+// The halo-first provider computes a part as one walk of its bands: each
+// step's rows are computed once, by the first band whose field holds them,
+// and later bands copy them in from the seam store. In any band order the
+// part must equal one whole-part call bit for bit — both engines, fused or
+// not, serial or tiled — and unfused, the bands execute exactly the part's
+// planned work. The 3x3 s2 pool makes the fused conv rows at band seams
+// the one recompute left (runtime_executed_work_test bounds it).
+TEST(ExecEngineWalk, BandsComputeEachRowOnce) {
+  ThreadPool pool(3);
+  Rng rng(77);
+  const auto m = ModelBuilder("mini", 40, 40, 16)
+                     .conv_same(16, 3)
+                     .conv_same(16, 5)
+                     .maxpool(3, 2)
+                     .conv_same(24, 3)
+                     .conv(24, 3, 2, 1)
+                     .build();
+  std::vector<ConvWeights> weights;
+  for (const auto& l : m.layers()) {
+    weights.push_back(l.kind == LayerKind::kConv ? ConvWeights::random(l, rng)
+                                                 : ConvWeights{});
+  }
+  const std::span<const LayerConfig> layers(m.layers());
+  const std::span<const ConvWeights> wts(weights);
+  const RowInterval part{1, layers.back().out_h() - 1};
+  const auto need = required_input_rows(layers, part);
+  const auto crop = random_tensor(need.size(), m.input_w(), m.input_c(), rng);
+
+  for (ExecContext ctx : {ExecContext::reference(), ExecContext::fast(),
+                          ExecContext::fast(&pool)}) {
+    for (const bool fuse : {true, false}) {
+      ctx.fuse_conv_pool = fuse;
+      const auto whole =
+          volume_forward_rows(layers, crop, need.begin, part, wts, ctx);
+      for (int n_bands : {2, 3, part.size()}) {
+        // Boundary-first order: last band, first band, then the middle.
+        std::vector<RowInterval> bands;
+        for (int b = 0; b < n_bands; ++b) {
+          bands.push_back(
+              RowInterval{part.begin + part.size() * b / n_bands,
+                          part.begin + part.size() * (b + 1) / n_bands});
+        }
+        std::rotate(bands.begin(), bands.end() - 1, bands.end());
+        PartWalk walk;
+        plan_part_walk(layers, bands, ctx, walk);
+        const std::string what = std::string(to_string(ctx.engine)) +
+                                 " fuse=" + std::to_string(walk.fused) +
+                                 " pool=" + std::to_string(ctx.pool != nullptr) +
+                                 " bands=" + std::to_string(n_bands);
+        EXPECT_GT(walk.seam_floats, 0u) << what;
+        Tensor dst(part.size(), whole.w, whole.c);
+        const std::uint64_t before = exec_flops();
+        for (int b = 0; b < walk.n_bands(); ++b) {
+          part_walk_band_into(walk, b, layers, crop, need.begin, wts, ctx, dst,
+                              part.begin);
+        }
+        const auto executed = static_cast<Ops>(exec_flops() - before);
+        expect_bitexact(dst, whole, what);
+        if (walk.fused) {
+          EXPECT_GE(executed, split_part_ops(layers, part)) << what;
+        } else {
+          EXPECT_EQ(executed, split_part_ops(layers, part)) << what;
+        }
+      }
+    }
+  }
+}
+
 TEST(ExecEngineProperty, PaddingWiderThanKernelBitExact) {
   // padding >= kernel is legal (validate only requires the kernel to fit the
   // padded input) and makes the outermost output columns consist of zero
@@ -596,25 +650,30 @@ TEST(ExecEngineProperty, PaddingWiderThanKernelBitExact) {
   }
 }
 
-TEST(ExecEngine, CachedPackedWeightsStayBitExact) {
-  // One ExecCache across many calls with the same weights (the data plane's
-  // per-run pattern): the cached pack must serve every row interval with
-  // results identical to fresh packing and to the reference.
+TEST(ExecEngine, PackedWeightsServeEveryCallAndCopiesRepack) {
+  // The weights pack on their first fast call and every later call reuses
+  // that pack, whatever its row interval. A copy starts unpacked: changing
+  // the copy's weights must change its results, and leave the original's.
   Rng rng(12);
   const auto l = LayerConfig::conv(17, 17, 5, 11, 3, 1, 1);
   const auto in = random_tensor(17, 17, 5, rng);
   const auto w = ConvWeights::random(l, rng);
-  ExecCache cache;
-  ExecContext ctx = ExecContext::fast();
-  ctx.cache = &cache;
+  const ExecContext ctx = ExecContext::fast();
   for (const RowInterval rows :
        {RowInterval{0, l.out_h()}, RowInterval{0, 1}, RowInterval{5, 9},
         RowInterval{l.out_h() - 1, l.out_h()}}) {
     const auto ref = conv_forward_rows(l, in, 0, rows, w);
     expect_bitexact(conv_forward_rows(l, in, 0, rows, w, ctx), ref,
-                    "cached rows [" + std::to_string(rows.begin) + "," +
+                    "packed rows [" + std::to_string(rows.begin) + "," +
                         std::to_string(rows.end) + ")");
   }
+  ConvWeights changed = w;
+  for (auto& v : changed.weights) v = -v;
+  const RowInterval all{0, l.out_h()};
+  expect_bitexact(conv_forward_rows(l, in, 0, all, changed, ctx),
+                  conv_forward_rows(l, in, 0, all, changed), "changed copy");
+  expect_bitexact(conv_forward_rows(l, in, 0, all, w, ctx),
+                  conv_forward_rows(l, in, 0, all, w), "original after copy");
 }
 
 // Every adjacent conv→pool pair in the zoo fuses (the models interleave
@@ -941,14 +1000,14 @@ TEST(ExecEngineScratch, SteadyStateAllocFlat) {
   ASSERT_EQ(work_threads(fused_ops(conv, pl, RowInterval{0, pl.out_h()}), pool), 3);
   const auto crop = random_tensor(conv.in_h, conv.in_w, conv.in_c, rng);
   const auto w = ConvWeights::random(conv, rng);
-  ExecCache cache;
-  ExecContext ctx = ExecContext::fast(&pool);
-  ctx.cache = &cache;
+  const ExecContext ctx = ExecContext::fast(&pool);
 
   // A conv → pool → conv volume walked band by band into one part tensor,
   // fused (conv+pool into one activation buffer, then conv into the part)
-  // and unfused (each layer in turn, through both buffers): the walk's
-  // intermediate layers live in the thread's scratch too.
+  // and unfused (each layer in turn, through both buffers): each band on
+  // its own, and as one part walk of three bands in boundary-first order,
+  // whose seam store is not empty. The walk's intermediate layers and its
+  // seam store live in the thread's scratch too.
   const auto head = LayerConfig::conv(pl.out_w(), pl.out_h(), pl.out_c, 16, 3,
                                       1, 1);
   const LayerConfig volume[] = {conv, pl, head};
@@ -956,6 +1015,16 @@ TEST(ExecEngineScratch, SteadyStateAllocFlat) {
                                   ConvWeights::random(head, rng)};
   const int part_h = head.out_h();
   Tensor part(part_h, head.out_w(), head.out_c);
+  const RowInterval bands[] = {RowInterval{2 * part_h / 3, part_h},
+                               RowInterval{0, part_h / 3},
+                               RowInterval{part_h / 3, 2 * part_h / 3}};
+  PartWalk walks[2];
+  for (const bool fuse : {true, false}) {
+    ExecContext walk_ctx = ctx;
+    walk_ctx.fuse_conv_pool = fuse;
+    plan_part_walk(volume, bands, walk_ctx, walks[fuse]);
+    ASSERT_GT(walks[fuse].seam_floats, 0u) << "fuse " << fuse;
+  }
   const auto walk = [&](const ExecContext& base) {
     for (const bool fuse : {true, false}) {
       ExecContext walk_ctx = base;
@@ -964,6 +1033,10 @@ TEST(ExecEngineScratch, SteadyStateAllocFlat) {
                                      RowInterval{part_h / 3, part_h}}) {
         volume_forward_rows_into(volume, crop, 0, band, volume_w, walk_ctx,
                                  part, 0);
+      }
+      for (int b = 0; b < walks[fuse].n_bands(); ++b) {
+        part_walk_band_into(walks[fuse], b, volume, crop, 0, volume_w,
+                            walk_ctx, part, 0);
       }
     }
   };
@@ -1004,25 +1077,23 @@ TEST(ExecEngineScratch, SteadyStateAllocFlat) {
       << "steady-state fast-path calls grew scratch buffers";
 }
 
-// One cache serving two packed lane widths (e.g. AVX2's 8 and AVX-512's 16)
-// must keep distinct entries per width — results stay bit-exact for both.
-TEST(ExecEngine, CacheKeepsPerLaneWidthEntries) {
+// One weights object serving two packed lane widths (e.g. AVX2's 8 and
+// AVX-512's 16) keeps one slot per width — results stay bit-exact for both.
+TEST(ExecEngine, PackKeepsOneSlotPerLaneWidth) {
   const auto isas = supported_kernel_isas();
   Rng rng(64);
   const auto l = LayerConfig::conv(15, 15, 4, 17, 3, 1, 1);
   const auto in = random_tensor(15, 15, 4, rng);
   const auto w = ConvWeights::random(l, rng);
   const auto ref = conv_forward_rows(l, in, 0, RowInterval{0, l.out_h()}, w);
-  ExecCache cache;
-  for (int rep = 0; rep < 2; ++rep) {  // second pass is all cache hits
+  for (int rep = 0; rep < 2; ++rep) {  // second pass reuses every slot
     for (const KernelIsa isa : isas) {
       ExecContext ctx = ExecContext::fast();
-      ctx.cache = &cache;
       ctx.isa = isa;
       expect_bitexact(conv_forward_rows(l, in, 0, RowInterval{0, l.out_h()},
                                         w, ctx),
                       ref,
-                      std::string("cache rep ") + std::to_string(rep) + " [" +
+                      std::string("pack rep ") + std::to_string(rep) + " [" +
                           to_string(isa) + "]");
     }
   }

@@ -15,6 +15,7 @@
 #include "cnn/model_zoo.hpp"
 #include "core/strategy.hpp"
 #include "runtime/cluster.hpp"
+#include "tensor_bits.hpp"
 
 namespace de::runtime {
 namespace {
@@ -23,15 +24,6 @@ cnn::Tensor random_input(const cnn::CnnModel& m, Rng& rng) {
   cnn::Tensor t(m.input_h(), m.input_w(), m.input_c());
   for (auto& v : t.data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
-}
-
-void expect_equal(const cnn::Tensor& a, const cnn::Tensor& b) {
-  ASSERT_EQ(a.h, b.h);
-  ASSERT_EQ(a.w, b.w);
-  ASSERT_EQ(a.c, b.c);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << "flat index " << i;
-  }
 }
 
 sim::RawStrategy halves_strategy(const cnn::CnnModel& m, int n_devices) {
@@ -58,7 +50,7 @@ TEST_P(FastEngineZooE2E, TcpClusterMatchesReferenceBitExact) {
   ASSERT_EQ(options.exec.engine, cnn::ExecEngine::kFast);
   const auto result = run_distributed_tcp(m, halves_strategy(m, 3), weights,
                                           input, 3, options);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
   EXPECT_GT(result.messages_exchanged, 0);
 }
 
@@ -93,7 +85,7 @@ TEST(FastEngineZooE2E_Faults, TcpBitExactUnderDropAndReorder) {
 
   const auto result = run_distributed_tcp(m, halves_strategy(m, 3), weights,
                                           input, 3, options);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
 }
 
 }  // namespace

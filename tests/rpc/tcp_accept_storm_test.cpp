@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -43,6 +44,33 @@ void connect_and_reset(std::uint16_t port) {
   const linger lg{1, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
   ::close(fd);
+}
+
+/// Dials loopback `port` from a raw socket and sends `body` in the wire
+/// framing by hand, retrying the socket() call while the fd table is full.
+/// Returns the open socket (the caller closes it), or -1 on failure.
+int send_frame_raw(std::uint16_t port, const Payload& body) {
+  int fd = -1;
+  for (int k = 0; k < 4000 && fd < 0; ++k) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // Wire framing: u32 payload length, u32 mailbox id, payload bytes.
+  std::uint8_t msg[8 + 4] = {};
+  msg[0] = static_cast<std::uint8_t>(body.size());
+  for (std::size_t i = 0; i < body.size(); ++i) msg[8 + i] = body[i];
+  EXPECT_EQ(::send(fd, msg, sizeof(msg), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(msg)));
+  return fd;
 }
 
 /// Bounded receive that proves the LISTENER is alive: on timeout, dials a
@@ -87,60 +115,60 @@ TEST(TcpAcceptStorm, RecoversFromFdExhaustion) {
   server.open_mailbox(0);
   const std::uint16_t port = server.port();
 
-  // Tighten the fd table, then hoard every remaining descriptor.
+  // Tighten the fd table; it is filled below.
   rlimit old_limit{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old_limit), 0);
   rlimit tight = old_limit;
   tight.rlim_cur = 96;
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+
+  // The client is a raw socket speaking the wire framing by hand, with its
+  // own retry loop: a TcpTransport client would share this process's
+  // starved fd table, and one transient in-process fd use (thread startup,
+  // /proc reads) stealing the single free slot marks its peer dead for
+  // good — the frame silently vanishes and the test hangs. A real client
+  // lives in another process and keeps dialing; model that. Its thread
+  // starts before the hoard, waits to dial, and ends only once the hoard
+  // is released: under ASan/UBSan, starting or ending a thread while the
+  // fd table is full stops the run with a bogus "invalid vptr" report.
+  // Its socket stays open until then too, so the table stays full and the
+  // server's accept() meets EMFILE for the whole hoard. From here to the
+  // join nothing returns early, so the thread is always released and
+  // joined.
+  std::atomic<bool> dial{false};
+  std::atomic<bool> released{false};
+  std::thread sender([port, &dial, &released] {
+    dial.wait(false);
+    const int fd = send_frame_raw(port, tiny_frame(9));
+    released.wait(false);
+    if (fd >= 0) ::close(fd);
+  });
+
   std::vector<int> hoard;
   for (;;) {
     const int fd = ::dup(STDIN_FILENO);
     if (fd < 0) break;  // EMFILE: table full
     hoard.push_back(fd);
   }
-  ASSERT_FALSE(hoard.empty());
+  EXPECT_FALSE(hoard.empty());
 
   // One fd back for the client's connecting socket; the kernel completes
   // the handshake in the backlog, but the server's accept() now fails with
   // EMFILE — before the fix, fatally; after it, with retry + backoff.
-  // The client is a raw socket speaking the wire framing by hand, with its
-  // own retry loop: a TcpTransport client would share this process's
-  // starved fd table, and one transient in-process fd use (thread startup,
-  // /proc reads) stealing the single free slot marks its peer dead for
-  // good — the frame silently vanishes and the test hangs. A real client
-  // lives in another process and keeps dialing; model that.
-  ::close(hoard.back());
-  hoard.pop_back();
-  std::thread sender([port] {
-    int fd = -1;
-    for (int k = 0; k < 4000 && fd < 0; ++k) {
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    // Wire framing: u32 payload length, u32 mailbox id, payload bytes.
-    const Payload body = tiny_frame(9);
-    std::uint8_t msg[8 + 4] = {};
-    msg[0] = static_cast<std::uint8_t>(body.size());
-    for (std::size_t i = 0; i < body.size(); ++i) msg[8 + i] = body[i];
-    ASSERT_EQ(::send(fd, msg, sizeof(msg), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(msg)));
-    ::close(fd);
-  });
+  if (!hoard.empty()) {
+    ::close(hoard.back());
+    hoard.pop_back();
+  }
+  dial = true;
+  dial.notify_one();
 
   // Let the accept loop hit EMFILE a number of times to prove it retries.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   for (const int fd : hoard) ::close(fd);
   hoard.clear();
-  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &old_limit), 0);
+  EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &old_limit), 0);
+  released = true;
+  released.notify_one();
 
   // With descriptors available again the pending connection is accepted
   // and the frame flows. Bounded wait: a lost frame must fail the test,

@@ -7,6 +7,7 @@
 #include "core/strategy.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/serve.hpp"
+#include "tensor_bits.hpp"
 
 namespace de::runtime {
 namespace {
@@ -25,15 +26,6 @@ cnn::Tensor random_input(const cnn::CnnModel& m, Rng& rng) {
   cnn::Tensor t(m.input_h(), m.input_w(), m.input_c());
   for (auto& v : t.data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
-}
-
-void expect_equal(const cnn::Tensor& a, const cnn::Tensor& b) {
-  ASSERT_EQ(a.h, b.h);
-  ASSERT_EQ(a.w, b.w);
-  ASSERT_EQ(a.c, b.c);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << "flat index " << i;
-  }
 }
 
 sim::RawStrategy equal_strategy(const cnn::CnnModel& m,
@@ -66,7 +58,7 @@ TEST_P(TcpDistributedEqualsReference, BitExact) {
 
   const auto strategy = equal_strategy(m, c.boundaries, c.n_devices);
   const auto result = run_distributed_tcp(m, strategy, weights, input, c.n_devices);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
   EXPECT_GT(result.messages_exchanged, 0);
   EXPECT_GT(result.bytes_moved, 0);
 }
@@ -88,7 +80,7 @@ TEST(TcpCluster, MatchesInProcessPathExactly) {
 
   const auto tcp = run_distributed_tcp(m, strategy, weights, input, 3);
   const auto inproc = run_distributed(m, strategy, weights, input, 3);
-  expect_equal(tcp.output, inproc.output);
+  expect_bitexact(tcp.output, inproc.output);
   // Same plan, same chunks — the transport must not change the traffic.
   EXPECT_EQ(tcp.messages_exchanged, inproc.messages_exchanged);
   EXPECT_EQ(tcp.bytes_moved, inproc.bytes_moved);
@@ -106,7 +98,7 @@ TEST(TcpCluster, EmptySharesAndSkewedCuts) {
   // Device 1 gets nothing in volume 0; device 0 gets nothing in volume 1.
   strategy.cuts = {{0, 10, 10, 10}, {0, 0, 3, 5}};
   const auto result = run_distributed_tcp(m, strategy, weights, input, 3);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
 }
 
 class ServeStreamBothTransports : public ::testing::TestWithParam<bool> {};
@@ -134,7 +126,7 @@ TEST_P(ServeStreamBothTransports, PipelinedStreamStaysBitExact) {
   EXPECT_EQ(result.images, 12);
   ASSERT_EQ(result.outputs.size(), references.size());
   for (std::size_t k = 0; k < references.size(); ++k) {
-    expect_equal(result.outputs[k], references[k]);
+    expect_bitexact(result.outputs[k], references[k]);
   }
   EXPECT_GT(result.measured_ips, 0.0);
   EXPECT_GT(result.messages_exchanged, 0);
@@ -162,7 +154,7 @@ TEST(ServeStream, InactiveDeviceDoesNotHangTheStream) {
   const auto result = serve_stream(m, strategy, weights, inputs, 3, options);
   ASSERT_EQ(result.outputs.size(), inputs.size());
   for (std::size_t k = 0; k < inputs.size(); ++k) {
-    expect_equal(result.outputs[k], run_reference(m, weights, inputs[k]));
+    expect_bitexact(result.outputs[k], run_reference(m, weights, inputs[k]));
   }
 }
 

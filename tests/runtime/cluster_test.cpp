@@ -7,6 +7,7 @@
 
 #include "core/strategy.hpp"
 #include "common/require.hpp"
+#include "tensor_bits.hpp"
 
 namespace de::runtime {
 namespace {
@@ -25,15 +26,6 @@ cnn::Tensor random_input(const cnn::CnnModel& m, Rng& rng) {
   cnn::Tensor t(m.input_h(), m.input_w(), m.input_c());
   for (auto& v : t.data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
-}
-
-void expect_equal(const cnn::Tensor& a, const cnn::Tensor& b) {
-  ASSERT_EQ(a.h, b.h);
-  ASSERT_EQ(a.w, b.w);
-  ASSERT_EQ(a.c, b.c);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << "flat index " << i;
-  }
 }
 
 struct ClusterCase {
@@ -58,7 +50,7 @@ TEST_P(DistributedEqualsReference, BitExact) {
         core::equal_split(cnn::volume_out_height(m, v), c.n_devices).cuts);
   }
   const auto result = run_distributed(m, strategy, weights, input, c.n_devices);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
   EXPECT_GT(result.messages_exchanged, 0);
   EXPECT_GT(result.bytes_moved, 0);
 }
@@ -84,7 +76,7 @@ TEST(Cluster, EmptySharesAndSkewedCuts) {
   // Device 1 gets nothing in volume 0; device 0 gets nothing in volume 1.
   strategy.cuts = {{0, 10, 10, 10}, {0, 0, 3, 5}};
   const auto result = run_distributed(m, strategy, weights, input, 3);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
 }
 
 TEST(Cluster, DifferentSplitsSameResult) {
@@ -99,7 +91,7 @@ TEST(Cluster, DifferentSplitsSameResult) {
   b.cuts = {{0, 7, 10}, {0, 1, 5}};
   const auto ra = run_distributed(m, a, weights, input, 2);
   const auto rb = run_distributed(m, b, weights, input, 2);
-  expect_equal(ra.output, rb.output);
+  expect_bitexact(ra.output, rb.output);
 }
 
 TEST(Cluster, StressManyIterationsStayConsistent) {
@@ -117,7 +109,7 @@ TEST(Cluster, StressManyIterationsStayConsistent) {
   }
   for (int run = 0; run < 20; ++run) {
     const auto result = run_distributed(m, strategy, weights, input, 4);
-    expect_equal(result.output, reference);
+    expect_bitexact(result.output, reference);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "runtime/cluster.hpp"
 #include "runtime/serve.hpp"
 #include "runtime/transfer_plan.hpp"
+#include "tensor_bits.hpp"
 
 namespace de::runtime {
 namespace {
@@ -46,15 +47,6 @@ cnn::Tensor random_input(const cnn::CnnModel& m, Rng& rng) {
   cnn::Tensor t(m.input_h(), m.input_w(), m.input_c());
   for (auto& v : t.data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
-}
-
-void expect_equal(const cnn::Tensor& a, const cnn::Tensor& b) {
-  ASSERT_EQ(a.h, b.h);
-  ASSERT_EQ(a.w, b.w);
-  ASSERT_EQ(a.c, b.c);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << "flat index " << i;
-  }
 }
 
 TEST(PartSchedule, BandsPartitionEveryPartBoundaryFirst) {
@@ -162,7 +154,7 @@ TEST_P(OverlapBitExact, MatchesReferenceSingleImage) {
   const auto result =
       use_tcp ? run_distributed_tcp(m, strategy, weights, input, n_devices)
               : run_distributed(m, strategy, weights, input, n_devices);
-  expect_equal(result.output, run_reference(m, weights, input));
+  expect_bitexact(result.output, run_reference(m, weights, input));
 }
 
 TEST_P(OverlapBitExact, StreamMatchesReferencePerImage) {
@@ -184,7 +176,7 @@ TEST_P(OverlapBitExact, StreamMatchesReferencePerImage) {
         serve_stream(m, strategy, weights, images, n_devices, options);
     ASSERT_EQ(result.outputs.size(), images.size());
     for (std::size_t k = 0; k < images.size(); ++k) {
-      expect_equal(result.outputs[k], run_reference(m, weights, images[k]));
+      expect_bitexact(result.outputs[k], run_reference(m, weights, images[k]));
     }
     // A clean run posts exactly the scheduled chunks: one scatter per
     // device with input rows, then every band send of every part.
@@ -248,7 +240,7 @@ TEST(OverlapBitExact, TcpBitExactUnderDropAndReorder) {
       serve_stream(m, strategy, weights, images, n_devices, options);
   ASSERT_EQ(result.outputs.size(), images.size());
   for (std::size_t k = 0; k < images.size(); ++k) {
-    expect_equal(result.outputs[k],
+    expect_bitexact(result.outputs[k],
                  run_reference(m, weights, images[k]));
   }
 }

@@ -13,6 +13,7 @@
 #include "runtime/cluster.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/serve.hpp"
+#include "tensor_bits.hpp"
 
 namespace de::runtime {
 namespace {
@@ -31,15 +32,6 @@ cnn::Tensor random_input(const cnn::CnnModel& m, Rng& rng) {
   cnn::Tensor t(m.input_h(), m.input_w(), m.input_c());
   for (auto& v : t.data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
-}
-
-void expect_equal(const cnn::Tensor& a, const cnn::Tensor& b) {
-  ASSERT_EQ(a.h, b.h);
-  ASSERT_EQ(a.w, b.w);
-  ASSERT_EQ(a.c, b.c);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << "flat index " << i;
-  }
 }
 
 sim::RawStrategy equal_strategy(const cnn::CnnModel& m,
@@ -149,7 +141,7 @@ TEST(Resilience, TcpBitExactUnderDropAndReorder) {
   options.reliability = fast_reliability();
   options.faults = &faults;
   const auto result = run_distributed_tcp(m, strategy, weights, input, 3, options);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
   EXPECT_GT(result.messages_exchanged, 0);
 }
 
@@ -168,7 +160,7 @@ TEST(Resilience, InProcBitExactUnderHeavyLoss) {
   options.reliability = fast_reliability();
   options.faults = &faults;
   const auto result = run_distributed(m, strategy, weights, input, 3, options);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
   // A quarter of the traffic was dropped: recovery must have happened.
   EXPECT_GT(result.retransmits, 0);
 }
@@ -192,7 +184,7 @@ TEST(Resilience, DuplicationIsAbsorbedByDedup) {
   options.reliability = fast_reliability();
   options.faults = &faults;
   const auto result = run_distributed(m, strategy, weights, input, 3, options);
-  expect_equal(result.output, reference);
+  expect_bitexact(result.output, reference);
   EXPECT_GT(result.duplicates_dropped, 0);
 }
 
@@ -211,7 +203,7 @@ TEST(Resilience, ReliabilityOnCleanFabricChangesNothing) {
   options.reliability.rto_ms = 60000;
   const auto reliable = run_distributed(m, strategy, weights, input, 3, options);
   const auto plain = run_distributed(m, strategy, weights, input, 3);
-  expect_equal(reliable.output, plain.output);
+  expect_bitexact(reliable.output, plain.output);
   // Clean wire: no drops, so no retransmissions and no duplicates.
   EXPECT_EQ(reliable.retransmits, 0);
   EXPECT_EQ(reliable.duplicates_dropped, 0);
@@ -262,7 +254,7 @@ TEST(Resilience, StreamBitExactUnderDropsBothTransports) {
 
     ASSERT_EQ(result.outputs.size(), references.size());
     for (std::size_t k = 0; k < references.size(); ++k) {
-      expect_equal(result.outputs[k], references[k]);
+      expect_bitexact(result.outputs[k], references[k]);
     }
   }
 }
@@ -296,7 +288,7 @@ TEST(Resilience, PartitionSeveredThenHealedRecovers) {
 
   ASSERT_EQ(result.outputs.size(), references.size());
   for (std::size_t k = 0; k < references.size(); ++k) {
-    expect_equal(result.outputs[k], references[k]);
+    expect_bitexact(result.outputs[k], references[k]);
   }
   EXPECT_GT(result.retransmits, 0);
 }

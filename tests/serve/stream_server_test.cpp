@@ -27,6 +27,7 @@
 #include "obs/trace.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/fabric.hpp"
+#include "tensor_bits.hpp"
 
 namespace de::serve {
 namespace {
@@ -82,16 +83,6 @@ sim::RawStrategy weighted_strategy(const cnn::CnnModel& m,
         core::proportional_split(cnn::volume_out_height(m, v), weights).cuts);
   }
   return strategy;
-}
-
-void expect_equal(const cnn::Tensor& a, const cnn::Tensor& b,
-                  const std::string& what) {
-  ASSERT_EQ(a.h, b.h) << what;
-  ASSERT_EQ(a.w, b.w) << what;
-  ASSERT_EQ(a.c, b.c) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << what << " flat index " << i;
-  }
 }
 
 /// One fleet + door, everything wired: two tenant models, the provider
@@ -169,7 +160,7 @@ void run_and_check_stream(Harness& h, int stream, int model_id,
       ASSERT_TRUE(out.has_value()) << "stream " << stream << " image " << k;
       const auto reference = runtime::run_reference(
           h.model(model_id), h.weights(model_id), inputs[k]);
-      expect_equal(*out, reference,
+      expect_bitexact(*out, reference,
                    "stream " + std::to_string(stream) + " image " +
                        std::to_string(k));
     }
@@ -334,7 +325,7 @@ TEST(StreamServer, SwapIsPinnedToTheNextSubmission) {
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     auto out = h.server->pop(sa);
     ASSERT_TRUE(out.has_value());
-    expect_equal(*out, runtime::run_reference(h.ma, h.wa, inputs[k]),
+    expect_bitexact(*out, runtime::run_reference(h.ma, h.wa, inputs[k]),
                  "pinned-swap image " + std::to_string(k));
   }
   const auto log = h.server->snapshot(sa).reconfigurations;
@@ -364,7 +355,7 @@ TEST(StreamServer, PerStreamSwapNeverTouchesOtherTenants) {
       ASSERT_TRUE(h.server->submit(sa, in_a[static_cast<std::size_t>(k)]));
       auto out = h.server->pop(sa);
       ASSERT_TRUE(out.has_value());
-      expect_equal(*out, runtime::run_reference(h.ma, h.wa, in_a[static_cast<std::size_t>(k)]),
+      expect_bitexact(*out, runtime::run_reference(h.ma, h.wa, in_a[static_cast<std::size_t>(k)]),
                    "tenant A image " + std::to_string(k));
     }
   });
@@ -407,7 +398,7 @@ TEST(StreamServer, SlowConsumerStallsOnlyItsOwnStream) {
   for (const auto& input : slow_inputs) {
     auto out = h.server->pop(slow);
     ASSERT_TRUE(out.has_value());
-    expect_equal(*out, runtime::run_reference(h.ma, h.wa, input), "slow stream");
+    expect_bitexact(*out, runtime::run_reference(h.ma, h.wa, input), "slow stream");
   }
 }
 
@@ -469,7 +460,7 @@ TEST(StreamServer, FaultedFabricMultiStreamBitExact) {
       ASSERT_TRUE(h.server->submit(sa, in_a[static_cast<std::size_t>(k)]));
       auto out = h.server->pop(sa);
       ASSERT_TRUE(out.has_value());
-      expect_equal(*out, runtime::run_reference(h.ma, h.wa, in_a[static_cast<std::size_t>(k)]),
+      expect_bitexact(*out, runtime::run_reference(h.ma, h.wa, in_a[static_cast<std::size_t>(k)]),
                    "faulted tenant A image " + std::to_string(k));
     }
   });
@@ -596,7 +587,7 @@ TEST(StreamServer, PlanningRunsOffThePump) {
     ASSERT_TRUE(h.server->submit(sa, inputs[k]));
     auto out = h.server->pop(sa);
     ASSERT_TRUE(out.has_value()) << "image " << k;
-    expect_equal(*out, runtime::run_reference(h.ma, h.wa, inputs[k]),
+    expect_bitexact(*out, runtime::run_reference(h.ma, h.wa, inputs[k]),
                  "image " + std::to_string(k));
   };
   serve(0);
@@ -682,7 +673,7 @@ TEST(StreamServer, StreamsSurviveFleetChurn) {
       ASSERT_TRUE(h.server->submit(stream, input));
       auto out = h.server->pop(stream);
       ASSERT_TRUE(out.has_value()) << "stream " << stream << " image " << k;
-      expect_equal(*out,
+      expect_bitexact(*out,
                    runtime::run_reference(h.model(model_id),
                                           h.weights(model_id), input),
                    "churn stream " + std::to_string(stream) + " image " +

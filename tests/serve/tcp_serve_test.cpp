@@ -13,6 +13,7 @@
 #include "common/require.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/fabric.hpp"
+#include "tensor_bits.hpp"
 
 namespace de::serve {
 namespace {
@@ -45,16 +46,6 @@ sim::RawStrategy equal_strategy(const cnn::CnnModel& m, int n_devices) {
         core::equal_split(cnn::volume_out_height(m, v), n_devices).cuts);
   }
   return strategy;
-}
-
-void expect_equal(const cnn::Tensor& a, const cnn::Tensor& b,
-                  const std::string& what) {
-  ASSERT_EQ(a.h, b.h) << what;
-  ASSERT_EQ(a.w, b.w) << what;
-  ASSERT_EQ(a.c, b.c) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << what << " flat index " << i;
-  }
 }
 
 /// A TCP fleet with its door open for business.
@@ -107,7 +98,7 @@ TEST(TcpServe, HandshakeAndSingleClientBitExact) {
   for (const auto& input : inputs) {
     auto out = client.receive();
     ASSERT_TRUE(out.has_value());
-    expect_equal(*out, runtime::run_reference(h.m, h.w, input), "tcp client");
+    expect_bitexact(*out, runtime::run_reference(h.m, h.w, input), "tcp client");
   }
   // Stream fully drained: the door says so.
   EXPECT_FALSE(client.receive().has_value());
@@ -147,7 +138,7 @@ TEST(TcpServe, ConcurrentClientsEachBitExact) {
         ASSERT_TRUE(client.submit(input));
         auto out = client.receive();
         ASSERT_TRUE(out.has_value());
-        expect_equal(*out, runtime::run_reference(h.m, h.w, input),
+        expect_bitexact(*out, runtime::run_reference(h.m, h.w, input),
                      "tcp client " + std::to_string(c));
       }
       client.close();
@@ -170,7 +161,7 @@ TEST(TcpServe, MisShapedInputIsDroppedAndTheDoorStaysUp) {
   ASSERT_TRUE(bad.submit(after[0]));
   auto out = bad.receive();
   ASSERT_TRUE(out.has_value());
-  expect_equal(*out, runtime::run_reference(h.m, h.w, after[0]),
+  expect_bitexact(*out, runtime::run_reference(h.m, h.w, after[0]),
                "image after the refused one");
   EXPECT_EQ(h.server->snapshot(bad.stream()).submitted, 1);
   EXPECT_FALSE(h.server->down());
@@ -182,7 +173,7 @@ TEST(TcpServe, MisShapedInputIsDroppedAndTheDoorStaysUp) {
     ASSERT_TRUE(good.submit(input));
     auto result = good.receive();
     ASSERT_TRUE(result.has_value());
-    expect_equal(*result, runtime::run_reference(h.m, h.w, input),
+    expect_bitexact(*result, runtime::run_reference(h.m, h.w, input),
                  "other client");
   }
   EXPECT_FALSE(h.server->down());
